@@ -26,15 +26,7 @@ import numpy as np
 from . import __version__
 from .engine import INVALID_PREDICTION, Model
 from .errors import ValidationError
-from .executor import (
-    ActivationCache,
-    PredictionSet,
-    build_cache,
-    golden_run,
-    load_cache,
-    run_injected_layerwise,
-    run_injected_opwise,
-)
+from .executor import PredictionSet, golden_run, layer_caches, run_injected_layerwise, run_injected_opwise
 from .faults import RECORD_DTYPE, RNG_ALGORITHM, FaultSpec
 from .microops import INJECTABLE_KINDS, expand_prelu
 from .model_io import (
@@ -105,13 +97,6 @@ def check_convergence(cma_series, window: int = DEFAULT_CMA_WINDOW, epsilon: flo
 
 def converged(cma_series, window: int = DEFAULT_CMA_WINDOW, epsilon: float = DEFAULT_CMA_EPSILON) -> bool:
     return check_convergence(cma_series, window, epsilon).converged
-
-
-def _seq_mean(xs) -> float:
-    total = 0.0
-    for x in xs:
-        total += float(x)
-    return total / len(xs)
 
 
 def _seq_std(xs, mean: float) -> float:
@@ -226,10 +211,13 @@ def _make_cell(label: str, kind: str, shape: tuple, probability: float, accuraci
     )
 
 
-def _resolve_layer_targets(spec: CampaignSpec, model: Model) -> list[int]:
-    if spec.targets == "all":
+def resolve_layer_targets(targets, model: Model) -> list[int]:
+    """Layer indices named by a campaign or config target ("all" or a list)."""
+    if targets == "all":
         return list(range(len(model.layers)))
-    targets = [int(t) for t in spec.targets]
+    targets = [int(t) for t in targets]
+    if not targets:
+        raise ValidationError("at least one layer target is required")
     for t in targets:
         if not 0 <= t < len(model.layers):
             raise ValidationError(f"layer target {t} out of range for {len(model.layers)} layers")
@@ -262,34 +250,15 @@ def _run_trials(trials: int, workers: int, run_one):
         return list(pool.map(run_one, range(trials)))
 
 
-def _layer_cache(model, dataset, layer, spec: CampaignSpec, cache_root: Path) -> ActivationCache:
-    directory = cache_root / f"cache_layer_{layer}"
-    if (directory / "cache_manifest.json").is_file():
-        cache = load_cache(directory)
-        if (
-            cache.sample_count == len(dataset)
-            and cache.layer == layer
-            and cache.shape == model.output_shapes[layer]
-        ):
-            return cache
-    return build_cache(model, dataset, layer, spec.budget, directory)
-
-
 def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int | None = None, cache_root=None) -> CampaignResult:
     """Run the full sweep: every target, every probability, `trials` trials.
 
+    Layer-wise, the golden predictions come from the pass that builds the
+    targets' caches (or from the caches themselves when all are reused).
     On an error mid-campaign, the cells completed so far are flushed to
     spec.out_dir (when set) before the exception propagates.
     """
     workers = _worker_count(workers)
-    golden = golden_run(model, dataset)
-    if spec.metric == "ground_truth":
-        reference = dataset.labels.astype(np.int64)
-        reference_accuracy = accuracy(golden, reference)
-    else:
-        reference = golden
-        reference_accuracy = 1.0
-
     tmp = None
     if cache_root is None:
         if spec.out_dir is not None:
@@ -297,15 +266,35 @@ def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: 
         else:
             tmp = tempfile.TemporaryDirectory(prefix="bitstorm_cache_")
             cache_root = Path(tmp.name)
-    cache_root = Path(cache_root)
+    try:
+        return _run_cells(spec, model, dataset, workers, Path(cache_root))
+    finally:
+        if tmp is not None:
+            tmp.cleanup()
+
+
+def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int, cache_root: Path) -> CampaignResult:
+    if spec.mode == "layer":
+        targets = resolve_layer_targets(spec.targets, model)
+        caches = layer_caches(model, dataset, targets, spec.budget, cache_root)
+        golden = PredictionSet(caches[targets[0]].golden, "golden", "golden")
+    else:
+        golden = golden_run(model, dataset)
+        expanded = expand_prelu(model)
+        targets = _resolve_op_targets(spec, expanded)
+    if spec.metric == "ground_truth":
+        reference = dataset.labels.astype(np.int64)
+        reference_accuracy = accuracy(golden, reference)
+    else:
+        reference = golden
+        reference_accuracy = 1.0
 
     cells: list[CellResult] = []
     result = CampaignResult(spec=spec, reference_accuracy=reference_accuracy, golden=golden, cells=cells)
     try:
         if spec.mode == "layer":
-            targets = _resolve_layer_targets(spec, model)
             for layer in targets:
-                cache = _layer_cache(model, dataset, layer, spec, cache_root)
+                cache = caches[layer]
                 preload = cache.total_bytes <= spec.budget
                 chunks = list(cache.iter_chunks()) if preload else None
                 kind = model.layers[layer].kind
@@ -323,8 +312,6 @@ def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: 
                     cells.append(_make_cell(str(layer), kind, shape, p,
                                             [a for a, _ in outcomes], records, spec))
         else:
-            expanded = expand_prelu(model)
-            targets = _resolve_op_targets(spec, expanded)
             for kind in targets:
                 for p in spec.probabilities:
                     fault = FaultSpec(mode="op", target=(kind,), fault=spec.fault,
@@ -342,9 +329,6 @@ def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: 
             result.partial = True
             emit_report(result, spec.out_dir)
         raise
-    finally:
-        if tmp is not None:
-            tmp.cleanup()
     return result
 
 

@@ -30,10 +30,11 @@ from .campaign import (
     SUMMARY_FILE,
     accuracy,
     emit_report,
+    resolve_layer_targets,
     run_stochastic,
 )
 from .errors import BitstormError, ResourceError, ValidationError
-from .executor import build_cache, golden_run
+from .executor import golden_run, layer_caches
 from .model_io import load_config, load_dataset, load_model
 from . import toygen
 
@@ -127,12 +128,6 @@ def cmd_golden(args, console: Console) -> int:
     return EXIT_OK
 
 
-def _layer_targets(config, model):
-    if config.target == "all":
-        return list(range(len(model.layers)))
-    return list(config.target)
-
-
 def cmd_cache(args, console: Console) -> int:
     config = _apply_overrides(load_config(args.config), args)
     if config.mode != "layer":
@@ -140,11 +135,10 @@ def cmd_cache(args, console: Console) -> int:
     model, dataset = _load_inputs(config)
     with _locked(config.out_dir):
         console.attach(config.out_dir)
+        caches = layer_caches(model, dataset, resolve_layer_targets(config.target, model), config.budget,
+                              Path(config.out_dir) / "caches")
         total = 0
-        for layer in _layer_targets(config, model):
-            cache = build_cache(
-                model, dataset, layer, config.budget, Path(config.out_dir) / "caches" / f"cache_layer_{layer}"
-            )
+        for layer, cache in caches.items():
             console.line(
                 f"cache layer {layer} ({model.layers[layer].name}): "
                 f"{cache.total_bytes} bytes in {cache.chunk_count} chunk(s)"

@@ -1,9 +1,18 @@
 """Inference drivers: golden runs, injection hooks, split execution.
 
-Layer-wise campaigns split the model at the injection layer: the head runs
-once per dataset and its outputs are cached to disk in fixed-size chunks,
-then every trial replays only the tail on (copies of) the cached
-activations.  The cache is never mutated by a trial.
+Layer-wise campaigns split the model at the injection layer.  One chunked
+forward pass over the dataset runs every layer once per sample; it appends
+the output of each targeted layer to that layer's on-disk cache, in chunks
+within the memory budget, and runs on to the last layer so that each cache
+also stores the golden predictions.  A cache is reused only when its
+content key (format version, model, dataset samples, layer and budget)
+matches exactly.
+
+Every trial injects into copies of the cached activations and replays the
+tail only for the rows whose activation a fault actually changed; every
+other row keeps its golden prediction.  This is bit-exact because every
+kernel in `engine` computes each sample from its own row in a fixed order.
+The cache is never mutated by a trial.
 
 Operation-wise campaigns run the micro-op expansion end to end and apply
 the fault model to the output of every executed op whose kind is targeted,
@@ -12,23 +21,31 @@ so several faults may land during a single inference.
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import engine
-from .engine import Model, forward_batch, head_batch, predict_batch, tail_scores_batch
+from .engine import Model, forward_batch, forward_layer_batch, predict_batch, tail_scores_batch
+from .engine import head_batch  # noqa: F401  kept in this namespace: perfbench/test_selfcheck.py traces it here
 from .errors import ResourceError, ValidationError
 from .faults import RECORD_DTYPE, FaultSpec, inject_batch
 from .microops import MicroOpModel, run_microops_batch
 from .model_io import Dataset
 
 CACHE_MANIFEST = "cache_manifest.json"
+GOLDEN_FILE = "golden.bin"
 
-#: Cap on how many samples are pushed through the head in one batch while
-#: building a cache; keeps transient compute buffers small.
+#: Bumped whenever the on-disk cache layout changes; part of every cache key.
+CACHE_FORMAT_VERSION = 2
+
+#: Cap on how many samples the cache-building pass pushes through the model
+#: at once; keeps transient compute buffers small.
 _BUILD_BATCH = 256
 
 
@@ -73,9 +90,52 @@ def run_tail(model: Model, layer_index: int, activation: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _content_digest(model: Model, dataset: Dataset) -> str:
+    """sha256 over everything a cache's bytes depend on apart from layer and budget.
+
+    That is the model's input shape, every layer's configuration and weight
+    bytes, and the dataset's samples.  Labels do not enter a forward pass.
+    """
+    h = hashlib.sha256()
+
+    def put(label: str, value):
+        if isinstance(value, np.ndarray):
+            value = np.ascontiguousarray(value, dtype="<f4")
+            h.update(f"\0{label}:{value.shape}:".encode())
+            h.update(value.data)
+        else:
+            h.update(f"\0{label}={value!r}".encode())
+
+    put("input_shape", model.input_shape)
+    for layer in model.layers:
+        put("kind", layer.kind)
+        for f in dataclasses.fields(layer):
+            put(f.name, getattr(layer, f.name))
+    put("samples", dataset.samples)
+    return h.hexdigest()
+
+
+def _cache_key(content: str, layer: int, budget: int) -> str:
+    """The key a cache manifest must carry to be reused; see _content_digest."""
+    doc = f"bitstorm-cache-v{CACHE_FORMAT_VERSION}\0{content}\0layer={int(layer)}\0budget={int(budget)}"
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def _replace_bytes(path: Path, data) -> None:
+    """Write `data` to `path` through a temp file, so `path` is whole or absent."""
+    tmp = path.with_name(path.name + ".tmp")
+    with open(tmp, "wb") as fh:
+        fh.write(data)
+    os.replace(tmp, path)
+
+
 @dataclass(eq=False)
 class ActivationCache:
-    """Chunked on-disk store of one layer's outputs for an entire dataset."""
+    """Chunked on-disk store of one layer's outputs for an entire dataset.
+
+    `golden` holds the dataset's injection-free predictions, which the
+    building pass computed alongside the activations.
+    """
 
     directory: Path
     layer: int
@@ -84,6 +144,8 @@ class ActivationCache:
     samples_per_chunk: int
     chunk_count: int
     budget: int
+    key: str
+    golden: np.ndarray  # (sample_count,) int64, read-only
 
     @property
     def bytes_per_sample(self) -> int:
@@ -96,6 +158,10 @@ class ActivationCache:
     def chunk_path(self, index: int) -> Path:
         return self.directory / f"chunk_{index}.bin"
 
+    def chunk_bytes(self, index: int) -> int:
+        start = index * self.samples_per_chunk
+        return min(self.samples_per_chunk, self.sample_count - start) * self.bytes_per_sample
+
     def iter_chunks(self):
         """Yield (start_sample, activations) per chunk in sequential order.
 
@@ -104,18 +170,39 @@ class ActivationCache:
         """
         for k in range(self.chunk_count):
             start = k * self.samples_per_chunk
-            count = min(self.samples_per_chunk, self.sample_count - start)
             raw = self.chunk_path(k).read_bytes()
-            expected = count * self.bytes_per_sample
+            expected = self.chunk_bytes(k)
             if len(raw) != expected:
                 raise ValidationError(
                     f"{self.chunk_path(k)}: {len(raw)} bytes on disk, manifest promises {expected}"
                 )
-            acts = np.frombuffer(raw, dtype="<f4").reshape((count, *self.shape))
+            acts = np.frombuffer(raw, dtype="<f4").reshape((-1, *self.shape))
             yield start, acts
+
+    def _write_rows(self, start: int, rows: np.ndarray) -> None:
+        """Append the outputs of samples [start, start + len(rows)) to their chunks.
+
+        A chunk grows in `chunk_<k>.bin.tmp` and is renamed into place once
+        its last sample is written.
+        """
+        done = 0
+        while done < rows.shape[0]:
+            sample = start + done
+            chunk_start = sample - sample % self.samples_per_chunk
+            chunk_stop = min(chunk_start + self.samples_per_chunk, self.sample_count)
+            take = min(chunk_stop - sample, rows.shape[0] - done)
+            path = self.chunk_path(chunk_start // self.samples_per_chunk)
+            tmp = path.with_name(path.name + ".tmp")
+            with open(tmp, "ab" if sample > chunk_start else "wb") as fh:
+                fh.write(np.ascontiguousarray(rows[done : done + take], dtype="<f4").data)
+            if sample + take == chunk_stop:
+                os.replace(tmp, path)
+            done += take
 
     def save_manifest(self):
         doc = {
+            "format_version": CACHE_FORMAT_VERSION,
+            "key": self.key,
             "layer": self.layer,
             "sample_count": self.sample_count,
             "shape": list(self.shape),
@@ -124,69 +211,135 @@ class ActivationCache:
             "chunk_count": self.chunk_count,
             "budget": self.budget,
         }
-        path = self.directory / CACHE_MANIFEST
-        path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        _replace_bytes(self.directory / CACHE_MANIFEST, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_cache(directory) -> ActivationCache:
+    """Read a cache's manifest and golden predictions (chunks are read lazily)."""
     directory = Path(directory)
     path = directory / CACHE_MANIFEST
     if not path.is_file():
         raise ValidationError(f"cache manifest not found: {path}")
     doc = json.loads(path.read_text(encoding="utf-8"))
+    if doc.get("format_version") != CACHE_FORMAT_VERSION:
+        raise ValidationError(f"{path}: cache format {doc.get('format_version')}, expected {CACHE_FORMAT_VERSION}")
+    sample_count = int(doc["sample_count"])
+    golden = np.frombuffer((directory / GOLDEN_FILE).read_bytes(), dtype="<i8").astype(np.int64, copy=False)
+    if golden.size != sample_count:
+        raise ValidationError(f"{directory / GOLDEN_FILE}: {golden.size} predictions, manifest promises {sample_count}")
     return ActivationCache(
         directory=directory,
         layer=int(doc["layer"]),
-        sample_count=int(doc["sample_count"]),
+        sample_count=sample_count,
         shape=tuple(doc["shape"]),
         samples_per_chunk=int(doc["samples_per_chunk"]),
         chunk_count=int(doc["chunk_count"]),
         budget=int(doc["budget"]),
+        key=str(doc["key"]),
+        golden=golden,
     )
+
+
+def _valid_cache(directory: Path, key: str) -> ActivationCache | None:
+    """The cache in `directory` if its key matches and every file is whole, else None."""
+    try:
+        cache = load_cache(directory)
+        if cache.key != key:
+            return None
+        for k in range(cache.chunk_count):
+            if cache.chunk_path(k).stat().st_size != cache.chunk_bytes(k):
+                return None
+    except (OSError, ValueError, KeyError, TypeError, ValidationError):
+        return None
+    return cache
+
+
+def _write_caches(model: Model, dataset: Dataset, directories: dict, budget: int, content: str) -> dict:
+    """One forward pass that builds the cache of every layer in `directories`.
+
+    Each layer's outputs are written to disk as the pass produces them.  A
+    crash leaves no manifest, so a half-built cache is never read: the old
+    manifest goes first, chunks and golden predictions are renamed into
+    place whole, and the manifest is written last.
+    """
+    _check_pairing(model, dataset)
+    n = len(dataset)
+    caches = {}
+    for layer, directory in directories.items():
+        if not 0 <= layer < len(model.layers):
+            raise ValidationError(f"layer index {layer} out of range for {len(model.layers)} layers")
+        shape = model.output_shapes[layer]
+        bytes_per_sample = int(np.prod(shape)) * 4
+        if budget < bytes_per_sample:
+            raise ResourceError(
+                f"memory budget {budget} bytes is below one sample's activation ({bytes_per_sample} bytes)"
+            )
+        samples_per_chunk = min(budget // bytes_per_sample, n)
+        caches[layer] = ActivationCache(
+            directory=Path(directory),
+            layer=layer,
+            sample_count=n,
+            shape=shape,
+            samples_per_chunk=int(samples_per_chunk),
+            chunk_count=-(-n // samples_per_chunk),
+            budget=int(budget),
+            key=_cache_key(content, layer, budget),
+            golden=np.empty(0, dtype=np.int64),
+        )
+    golden = np.empty(n, dtype=np.int64)
+    try:
+        for cache in caches.values():
+            cache.directory.mkdir(parents=True, exist_ok=True)
+            (cache.directory / CACHE_MANIFEST).unlink(missing_ok=True)
+            for stale in cache.directory.glob("chunk_*"):
+                stale.unlink()
+        for lo in range(0, n, _BUILD_BATCH):
+            hi = min(lo + _BUILD_BATCH, n)
+            out = np.asarray(dataset.samples[lo:hi], dtype=engine.F32)
+            for index, layer in enumerate(model.layers):
+                out = forward_layer_batch(layer, out)
+                if index in caches:
+                    caches[index]._write_rows(lo, out)
+            golden[lo:hi] = predict_batch(out)
+        golden.flags.writeable = False
+        for cache in caches.values():
+            cache.golden = golden
+            _replace_bytes(cache.directory / GOLDEN_FILE, golden.astype("<i8").tobytes())
+            cache.save_manifest()
+    except OSError as exc:
+        raise ResourceError(f"failed to write an activation cache: {exc}") from None
+    return caches
 
 
 def build_cache(model: Model, dataset: Dataset, layer: int, budget: int, directory) -> ActivationCache:
-    """Run the head once and persist layer outputs in chunks within `budget`.
+    """Run the model once and persist layer outputs in chunks within `budget`.
 
-    The chunk buffer never exceeds the byte budget; anything larger spills
-    into additional chunk files read back sequentially during replay.
+    Each chunk holds at most `budget // bytes_per_sample` samples; anything
+    larger spills into additional chunk files read back sequentially during
+    replay.
+    """
+    return _write_caches(model, dataset, {layer: directory}, budget, _content_digest(model, dataset))[layer]
+
+
+def layer_caches(model: Model, dataset: Dataset, layers, budget: int, cache_root) -> dict:
+    """The cache of every layer in `layers` under `cache_root/cache_layer_<k>`.
+
+    A cache whose key matches is reused; all others are built by a single
+    forward pass.  Returns {layer: ActivationCache}.
     """
     _check_pairing(model, dataset)
-    if not 0 <= layer < len(model.layers):
-        raise ValidationError(f"layer index {layer} out of range for {len(model.layers)} layers")
-    shape = model.output_shapes[layer]
-    bytes_per_sample = int(np.prod(shape)) * 4
-    if budget < bytes_per_sample:
-        raise ResourceError(
-            f"memory budget {budget} bytes is below one sample's activation ({bytes_per_sample} bytes)"
-        )
-    samples_per_chunk = min(budget // bytes_per_sample, len(dataset))
-    chunk_count = -(-len(dataset) // samples_per_chunk)
-
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    cache = ActivationCache(
-        directory=directory,
-        layer=layer,
-        sample_count=len(dataset),
-        shape=shape,
-        samples_per_chunk=int(samples_per_chunk),
-        chunk_count=int(chunk_count),
-        budget=int(budget),
-    )
-    for k in range(chunk_count):
-        start = k * cache.samples_per_chunk
-        count = min(cache.samples_per_chunk, len(dataset) - start)
-        buffer = np.empty((count, *shape), dtype="<f4")
-        for b in range(0, count, _BUILD_BATCH):
-            hi = min(b + _BUILD_BATCH, count)
-            buffer[b:hi] = head_batch(model, layer, dataset.samples[start + b : start + hi])
-        try:
-            cache.chunk_path(k).write_bytes(buffer.tobytes())
-        except OSError as exc:
-            raise ResourceError(f"failed to write {cache.chunk_path(k)}: {exc}") from None
-    cache.save_manifest()
-    return cache
+    content = _content_digest(model, dataset)
+    caches, missing = {}, {}
+    for layer in layers:
+        directory = Path(cache_root) / f"cache_layer_{layer}"
+        cache = _valid_cache(directory, _cache_key(content, layer, budget))
+        if cache is None:
+            missing[layer] = directory
+        else:
+            caches[layer] = cache
+    if missing:
+        caches.update(_write_caches(model, dataset, missing, budget, content))
+    return {layer: caches[layer] for layer in layers}
 
 
 # ---------------------------------------------------------------------------
@@ -197,22 +350,29 @@ def build_cache(model: Model, dataset: Dataset, layer: int, budget: int, directo
 def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec, trial: int, chunks=None):
     """One trial: inject at most once per sample into cached activations.
 
-    `chunks` may carry preloaded (start, activations) pairs to avoid
-    re-reading small caches from disk; results are bit-identical either way.
+    Only rows whose activation the fault changed (a record with original !=
+    corrupted) go through the tail; every other row keeps the golden
+    prediction stored in the cache.  `chunks` may carry preloaded (start,
+    activations) pairs to avoid re-reading small caches from disk; results
+    are bit-identical either way.
     """
     if spec.mode != "layer":
         raise ValidationError("run_injected_layerwise requires an operation mode of 'layer'")
     if cache.layer != spec.target:
         raise ValidationError(f"cache holds layer {cache.layer} but spec targets layer {spec.target}")
-    preds = np.empty(cache.sample_count, dtype=np.int64)
+    preds = cache.golden.copy()
     all_records = []
     for start, acts in chunks if chunks is not None else cache.iter_chunks():
         sample_ids = np.arange(start, start + acts.shape[0], dtype=np.uint64)
         corrupted, records = inject_batch(acts, spec, trial, sample_ids, site=cache.layer)
-        scores = tail_scores_batch(model, cache.layer, corrupted)
-        preds[start : start + acts.shape[0]] = predict_batch(scores)
-        if records.size:
-            all_records.append(records)
+        if not records.size:
+            continue
+        all_records.append(records)
+        changed = records["sample"][records["original"] != records["corrupted"]].astype(np.int64)
+        if changed.size < acts.shape[0]:
+            corrupted = corrupted[changed - start]  # releases the full copy before the tail runs
+        if changed.size:
+            preds[changed] = predict_batch(tail_scores_batch(model, cache.layer, corrupted))
     records = np.concatenate(all_records) if all_records else np.empty(0, dtype=RECORD_DTYPE)
     return PredictionSet(preds, "injected", spec.digest()), records
 

@@ -227,9 +227,6 @@ class InjectionRecord:
         )
 
 
-RECORD_CSV_HEADER = "trial,sample,site,element,bit,original_hex,corrupted_hex"
-
-
 # ---------------------------------------------------------------------------
 # Fault application
 # ---------------------------------------------------------------------------

@@ -349,3 +349,30 @@ class TestEmitReport:
             fields = row.split(",")
             assert len(fields) == 9
             int(fields[7], 16), int(fields[8], 16)
+
+
+class TestCacheReuse:
+    def test_cache_of_another_model_is_not_reused(self, tmp_path):
+        # same shapes, other weights: the seed-8 run must not read the seed-7 caches
+        from bitstorm.toygen import build_toy_cnn
+
+        spec = CampaignSpec(mode="layer", targets=[5], probabilities=[0.0], trials=1,
+                            metric="golden_run", seed=3)
+        for toy_seed in (7, 8):
+            model, dataset = build_toy_cnn(toy_seed)
+            result = run_stochastic(spec, model, dataset, workers=1, cache_root=tmp_path)
+            assert result.cells[0].mean == 1.0, f"toy seed {toy_seed}"
+
+    def test_golden_comes_from_the_caches(self, toy, tmp_path, monkeypatch):
+        import bitstorm.campaign as camp
+
+        model, dataset = toy
+        small = _small(dataset, 24)
+        spec = CampaignSpec(mode="layer", targets=[3, 9], probabilities=[0.5], trials=2,
+                            metric="ground_truth", seed=4)
+        want = golden_run(model, small)
+        monkeypatch.setattr(camp, "golden_run", None)  # layer mode never calls it
+        for _ in range(2):  # built, then reused
+            result = run_stochastic(spec, model, small, workers=1, cache_root=tmp_path)
+            assert np.array_equal(result.golden.predictions, want.predictions)
+            assert result.reference_accuracy == accuracy(want, small.labels.astype(np.int64))

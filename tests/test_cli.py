@@ -226,3 +226,29 @@ class TestInvalidInputs:
         rec_a = (tmp_path / "a" / "records.csv").read_text()
         rec_b = (tmp_path / "b" / "records.csv").read_text()
         assert rec_a != rec_b
+
+
+class TestCacheOnePass:
+    def test_cache_builds_all_targets_in_one_pass_and_campaign_reuses_them(self, toy_dir, tmp_path, monkeypatch):
+        import bitstorm.executor as executor_mod
+
+        ds = load_dataset(toy_dir / "dataset")
+        small = Dataset(samples=ds.samples[:12], labels=ds.labels[:12], class_count=ds.class_count)
+        save_dataset(small, tmp_path / "ds12")
+        config = _write_config(tmp_path / "config.json", toy_dir, dataset=str(tmp_path / "ds12"),
+                               target="all", probabilities=[0.5], trials=2, out_dir=str(tmp_path / "r"))
+        real = executor_mod._write_caches
+        passes = []
+
+        def counting(model, dataset, directories, budget, content):
+            passes.append(sorted(directories))
+            return real(model, dataset, directories, budget, content)
+
+        monkeypatch.setattr(executor_mod, "_write_caches", counting)
+        assert main(["cache", "--config", str(config)]) == EXIT_OK
+        assert passes == [list(range(12))]
+        for layer in range(12):
+            directory = tmp_path / "r" / "caches" / f"cache_layer_{layer}"
+            assert (directory / "cache_manifest.json").is_file() and (directory / "golden.bin").is_file()
+        assert main(["campaign", "--config", str(config)]) == EXIT_OK
+        assert len(passes) == 1  # every cache was reused

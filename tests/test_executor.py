@@ -241,3 +241,227 @@ class TestPassThroughEquivalence:
                     preds_prev.append(run_tail(model, prev_idx, out_prev))
                     preds_pass.append(run_tail(model, pass_idx, out_pass))
             assert preds_prev == preds_pass
+
+
+# ---------------------------------------------------------------------------
+# One-pass cache building, content keys, crash safety, row skipping
+# ---------------------------------------------------------------------------
+
+import bitstorm.executor as executor_mod
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bitstorm.engine import Dense, Flatten, Model, ReLU
+from bitstorm.executor import CACHE_MANIFEST, GOLDEN_FILE, layer_caches
+from bitstorm.faults import FAULT_KINDS, inject_batch
+from bitstorm.toygen import build_toy_cnn
+
+#: Spills every layer up to flatten on the 320-sample toy (conv2 holds one
+#: sample per chunk); the dense layers fit in one chunk.
+SPILL_BUDGET = 8192
+NO_SPILL_BUDGET = 1 << 26
+
+
+def _chunk_bytes(cache):
+    return [cache.chunk_path(k).read_bytes() for k in range(cache.chunk_count)]
+
+
+@pytest.fixture(scope="module")
+def toy_caches(toy, tmp_path_factory):
+    """{budget: {layer: cache}} for every toy layer, at a spilling and a non-spilling budget."""
+    model, dataset = toy
+    root = tmp_path_factory.mktemp("caches")
+    return {b: layer_caches(model, dataset, range(len(model.layers)), b, root / str(b))
+            for b in (SPILL_BUDGET, NO_SPILL_BUDGET)}
+
+
+def _relu_model():
+    """ReLU -> Flatten -> Dense: about half of the ReLU outputs are exactly zero."""
+    rng = np.random.default_rng(11)
+    dense = Dense(weights=rng.standard_normal((18, 5)).astype(F), bias=rng.standard_normal(5).astype(F),
+                  activation="softmax")
+    model = Model(input_shape=(3, 3, 2), layers=[ReLU(), Flatten(), dense])
+    dataset = Dataset(samples=rng.standard_normal((40, 3, 3, 2)).astype(F),
+                      labels=np.zeros(40, dtype=np.uint32), class_count=5)
+    return model, dataset
+
+
+@pytest.fixture(scope="module")
+def relu_caches(tmp_path_factory):
+    """(model, {budget: {layer: cache}}) for the ReLU model; 72 bytes/sample spills at 200."""
+    model, dataset = _relu_model()
+    root = tmp_path_factory.mktemp("relu_caches")
+    return model, {b: layer_caches(model, dataset, range(3), b, root / str(b)) for b in (200, NO_SPILL_BUDGET)}
+
+
+class TestOnePass:
+    def test_one_pass_equals_per_layer_builds(self, toy, toy_caches, tmp_path):
+        model, dataset = toy
+        for layer, cache in toy_caches[SPILL_BUDGET].items():
+            single = build_cache(model, dataset, layer, SPILL_BUDGET, tmp_path / f"c{layer}")
+            assert (single.samples_per_chunk, single.chunk_count) == (cache.samples_per_chunk, cache.chunk_count)
+            assert _chunk_bytes(single) == _chunk_bytes(cache), f"layer {layer}"
+
+    def test_stored_golden_equals_golden_run(self, toy, toy_caches):
+        model, dataset = toy
+        golden = golden_run(model, dataset).predictions
+        for caches in toy_caches.values():
+            for layer, cache in caches.items():
+                assert np.array_equal(cache.golden, golden), f"layer {layer}"
+                assert np.array_equal(load_cache(cache.directory).golden, golden), f"layer {layer}"
+
+    def test_chunks_straddling_pass_batches(self, toy, tmp_path, monkeypatch):
+        model, dataset = toy
+        subset = _small_dataset(dataset, 23)
+        per_sample = int(np.prod(model.output_shapes[4])) * 4
+        reference = build_cache(model, subset, 4, per_sample * 5, tmp_path / "ref")
+        monkeypatch.setattr(executor_mod, "_BUILD_BATCH", 7)
+        straddled = build_cache(model, subset, 4, per_sample * 5, tmp_path / "straddled")
+        assert straddled.chunk_count == 5
+        assert _chunk_bytes(straddled) == _chunk_bytes(reference)
+        assert not list((tmp_path / "straddled").glob("*.tmp"))
+
+
+class TestCacheKey:
+    def test_valid_cache_is_reused_without_a_pass(self, toy, tmp_path, monkeypatch):
+        model, dataset = toy
+        subset = _small_dataset(dataset, 16)
+        layer_caches(model, subset, [1, 6], 1 << 20, tmp_path)
+
+        def no_pass(*args, **kwargs):
+            raise AssertionError("a valid cache was rebuilt")
+
+        monkeypatch.setattr(executor_mod, "_write_caches", no_pass)
+        caches = layer_caches(model, subset, [6, 1], 1 << 20, tmp_path)
+        assert list(caches) == [6, 1]
+
+    @pytest.mark.parametrize("change", ["weights", "samples", "budget"])
+    def test_any_input_change_rebuilds(self, toy, tmp_path, change):
+        model, dataset = toy
+        subset = _small_dataset(dataset, 16)
+        first = layer_caches(model, subset, [5], 1 << 20, tmp_path)[5]
+        budget = 1 << 20
+        if change == "weights":
+            model, _ = build_toy_cnn(8)
+        elif change == "samples":
+            subset = _small_dataset(Dataset(samples=dataset.samples[16:], labels=dataset.labels[16:],
+                                            class_count=dataset.class_count), 16)
+        else:
+            budget = first.bytes_per_sample * 3
+        second = layer_caches(model, subset, [5], budget, tmp_path)[5]
+        assert second.key != first.key
+        assert load_cache(tmp_path / "cache_layer_5").key == second.key
+        fresh = build_cache(model, subset, 5, budget, tmp_path / "fresh")
+        assert _chunk_bytes(second) == _chunk_bytes(fresh)
+        assert np.array_equal(second.golden, golden_run(model, subset).predictions)
+
+
+class TestCrashSafety:
+    def _built(self, toy, root):
+        model, dataset = toy
+        subset = _small_dataset(dataset, 12)
+        per_sample = int(np.prod(model.output_shapes[2])) * 4
+        cache = layer_caches(model, subset, [2], per_sample * 5, root)[2]
+        return model, subset, per_sample * 5, cache, _chunk_bytes(cache)
+
+    def test_missing_manifest_is_rebuilt_not_read(self, toy, tmp_path):
+        model, subset, budget, cache, original = self._built(toy, tmp_path)
+        (cache.directory / CACHE_MANIFEST).unlink()
+        cache.chunk_path(0).write_bytes(bytes(len(original[0])))  # right length, wrong content
+        rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
+        assert _chunk_bytes(rebuilt) == original
+
+    def test_wrong_chunk_length_is_rebuilt_not_read(self, toy, tmp_path):
+        model, subset, budget, cache, original = self._built(toy, tmp_path)
+        cache.chunk_path(1).write_bytes(original[1][:-4])
+        rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
+        assert _chunk_bytes(rebuilt) == original
+
+    def test_missing_golden_is_rebuilt(self, toy, tmp_path):
+        model, subset, budget, cache, original = self._built(toy, tmp_path)
+        (cache.directory / GOLDEN_FILE).unlink()
+        rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
+        assert np.array_equal(rebuilt.golden, golden_run(model, subset).predictions)
+        assert _chunk_bytes(rebuilt) == original
+
+    def test_crash_mid_build_leaves_no_manifest(self, toy, tmp_path, monkeypatch):
+        model, subset, budget, cache, original = self._built(toy, tmp_path)
+        real = executor_mod.ActivationCache._write_rows
+        calls = {"n": 0}
+
+        def crash_after_first_piece(self, start, rows):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise RuntimeError("simulated crash")
+            return real(self, start, rows)
+
+        other, _ = build_toy_cnn(8)
+        monkeypatch.setattr(executor_mod, "_BUILD_BATCH", 4)
+        monkeypatch.setattr(executor_mod.ActivationCache, "_write_rows", crash_after_first_piece)
+        with pytest.raises(RuntimeError, match="simulated"):
+            layer_caches(other, subset, [2], budget, tmp_path)
+        assert not (cache.directory / CACHE_MANIFEST).exists()
+        monkeypatch.undo()
+        rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
+        assert _chunk_bytes(rebuilt) == original
+
+
+def _full_recompute(model, cache, spec, trial):
+    """Reference trial: every row, hit or not, goes through the tail."""
+    preds, records = [], []
+    for start, acts in cache.iter_chunks():
+        ids = np.arange(start, start + acts.shape[0], dtype=np.uint64)
+        corrupted, recs = inject_batch(acts, spec, trial, ids, site=cache.layer)
+        preds.append(predict_batch(tail_scores_batch(model, cache.layer, corrupted)))
+        records.append(recs)
+    return np.concatenate(preds), np.concatenate(records)
+
+
+class TestRowSkipping:
+    @given(which=st.sampled_from(["toy", "relu"]), seed=st.integers(0, 2**63), trial=st.integers(0, 10**6),
+           layer=st.integers(0, 11), probability=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+           fault=st.sampled_from(FAULT_KINDS), bit=st.integers(0, 31), spill=st.booleans())
+    @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_equals_full_tail_recompute(self, toy, toy_caches, relu_caches, which, seed, trial, layer,
+                                        probability, fault, bit, spill):
+        if which == "toy":
+            model, caches = toy[0], toy_caches[SPILL_BUDGET if spill else NO_SPILL_BUDGET]
+        else:
+            model, by_budget = relu_caches
+            caches = by_budget[200 if spill else NO_SPILL_BUDGET]
+        layer %= len(model.layers)
+        cache = caches[layer]
+        spec = FaultSpec(mode="layer", target=layer, fault=fault, probability=probability, seed=seed,
+                         bit=bit if fault == "bit_flip_specific" else None)
+        want_preds, want_records = _full_recompute(model, cache, spec, trial)
+        for chunks in (None, list(cache.iter_chunks())):
+            preds, records = run_injected_layerwise(model, cache, spec, trial, chunks=chunks)
+            assert np.array_equal(preds.predictions, want_preds)
+            assert np.array_equal(records, want_records)
+
+    def test_spill_budgets_spill(self, toy_caches, relu_caches):
+        assert toy_caches[SPILL_BUDGET][0].chunk_count > 1 and toy_caches[NO_SPILL_BUDGET][0].chunk_count == 1
+        _, by_budget = relu_caches
+        assert by_budget[200][0].chunk_count > 1 and by_budget[NO_SPILL_BUDGET][0].chunk_count == 1
+
+    @pytest.mark.parametrize("fault", ["zero", "random_value"])
+    def test_only_changed_rows_replay(self, relu_caches, monkeypatch, fault):
+        model, by_budget = relu_caches
+        cache = by_budget[200][0]
+        spec = FaultSpec(mode="layer", target=0, fault=fault, probability=1.0, seed=5)
+        replayed = []
+        real = executor_mod.tail_scores_batch
+
+        def counting(model, layer, acts):
+            replayed.append(acts.shape[0])
+            return real(model, layer, acts)
+
+        monkeypatch.setattr(executor_mod, "tail_scores_batch", counting)
+        preds, records = run_injected_layerwise(model, cache, spec, trial=0)
+        changed = int(np.count_nonzero(records["original"] != records["corrupted"]))
+        assert records.size == cache.sample_count
+        assert sum(replayed) == changed and all(n > 0 for n in replayed)
+        if fault == "zero":
+            assert 0 < changed < records.size  # zeroing a zero ReLU output changes nothing
+        want, _ = _full_recompute(model, cache, spec, 0)
+        assert np.array_equal(preds.predictions, want)
