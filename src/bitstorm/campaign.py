@@ -27,7 +27,7 @@ from . import __version__
 from .engine import INVALID_PREDICTION, Model
 from .errors import ValidationError
 from .executor import PredictionSet, golden_run, layer_caches, run_injected_layerwise, run_injected_opwise
-from .faults import RECORD_DTYPE, RNG_ALGORITHM, FaultSpec
+from .faults import RECORD_DTYPE, RNG_ALGORITHM, FaultSpec, check_int, records_to_rows
 from .microops import INJECTABLE_KINDS, expand_prelu
 from .model_io import (
     DEFAULT_BUDGET,
@@ -36,6 +36,8 @@ from .model_io import (
     DEFAULT_TRIALS,
     Dataset,
     RunConfig,
+    check_campaign,
+    replacing,
 )
 
 SUMMARY_FILE = "summary.json"
@@ -86,8 +88,7 @@ class ConvergenceCheck:
 
 def check_convergence(cma_series, window: int = DEFAULT_CMA_WINDOW, epsilon: float = DEFAULT_CMA_EPSILON) -> ConvergenceCheck:
     """True iff the last `window` CMA values span at most `epsilon`."""
-    if window < 2:
-        raise ValidationError("convergence window must be at least 2")
+    check_int(window, "cma_window", 2)
     series = list(cma_series)
     if len(series) < window:
         return ConvergenceCheck(False, f"insufficient trials: {len(series)} < window {window}")
@@ -129,19 +130,8 @@ class CampaignSpec:
     cma_epsilon: float = DEFAULT_CMA_EPSILON
 
     def __post_init__(self):
-        if self.mode not in ("op", "layer"):
-            raise ValidationError(f"mode must be 'op' or 'layer', got {self.mode!r}")
-        if self.metric not in ("ground_truth", "golden_run"):
-            raise ValidationError(f"metric must be 'ground_truth' or 'golden_run', got {self.metric!r}")
-        if self.trials < 1:
-            raise ValidationError("trials must be at least 1")
-        probs = sorted(set(float(p) for p in self.probabilities))
-        if not probs:
-            raise ValidationError("at least one probability is required")
-        for p in probs:
-            if not 0.0 <= p <= 1.0:
-                raise ValidationError(f"probability {p} outside [0, 1]")
-        self.probabilities = probs
+        params = {name: value for name, value in vars(self).items() if name != "out_dir"}
+        vars(self).update(check_campaign(**params))
 
     @classmethod
     def from_config(cls, config: RunConfig) -> "CampaignSpec":
@@ -212,14 +202,11 @@ def _make_cell(label: str, kind: str, shape: tuple, probability: float, accuraci
 
 
 def resolve_layer_targets(targets, model: Model) -> list[int]:
-    """Layer indices named by a campaign or config target ("all" or a list)."""
+    """Layer indices named by checked campaign targets ("all" or a list of indices)."""
     if targets == "all":
         return list(range(len(model.layers)))
-    targets = [int(t) for t in targets]
-    if not targets:
-        raise ValidationError("at least one layer target is required")
     for t in targets:
-        if not 0 <= t < len(model.layers):
+        if t >= len(model.layers):
             raise ValidationError(f"layer target {t} out of range for {len(model.layers)} layers")
     return targets
 
@@ -231,7 +218,7 @@ def _resolve_op_targets(spec: CampaignSpec, expanded) -> list[str]:
         if not kinds:
             raise ValidationError("model contains no injectable micro-ops")
         return kinds
-    return [str(t) for t in spec.targets]
+    return spec.targets
 
 
 def _worker_count(workers) -> int:
@@ -365,7 +352,11 @@ def _fmt(x: float) -> str:
 
 
 def emit_report(result: CampaignResult, out_dir) -> None:
-    """Write summary.json plus the four CSV files; byte-stable on re-emit."""
+    """Write summary.json plus the four CSV files; byte-stable on re-emit.
+
+    Each file is streamed to a temp file and renamed into place only when all
+    five are complete, so a failed emit leaves the previous report intact.
+    """
     if not result.cells:
         raise ValidationError("cannot emit a report with no completed cells")
     out_dir = Path(out_dir)
@@ -407,42 +398,37 @@ def emit_report(result: CampaignResult, out_dir) -> None:
         "partial": result.partial,
         "cells": cells_doc,
     }
-    (out_dir / SUMMARY_FILE).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
     header = _comment(spec)
-    with open(out_dir / ACCURACY_FILE, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("target,probability,trial,accuracy\n")
+    # summary.json, which `bitstorm report` reads, is renamed into place last
+    names = (ACCURACY_FILE, CMA_FILE, RECORDS_FILE, LAYERS_FILE, SUMMARY_FILE)
+    with replacing([out_dir / name for name in names]) as (acc_fh, cma_fh, rec_fh, layers_fh, summary_fh):
+        acc_fh.write(header + "\n")
+        acc_fh.write("target,probability,trial,accuracy\n")
         for cell in result.cells:
             for t, acc in enumerate(cell.accuracies):
-                fh.write(f"{cell.target_label},{_fmt(cell.probability)},{t},{_fmt(acc)}\n")
+                acc_fh.write(f"{cell.target_label},{_fmt(cell.probability)},{t},{_fmt(acc)}\n")
 
-    with open(out_dir / CMA_FILE, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("target,probability,trial,cma\n")
+        cma_fh.write(header + "\n")
+        cma_fh.write("target,probability,trial,cma\n")
         for cell in result.cells:
             for t, value in enumerate(cell.cma):
-                fh.write(f"{cell.target_label},{_fmt(cell.probability)},{t},{_fmt(value)}\n")
+                cma_fh.write(f"{cell.target_label},{_fmt(cell.probability)},{t},{_fmt(value)}\n")
 
-    with open(out_dir / RECORDS_FILE, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("target,probability,trial,sample,site,element,bit,original_hex,corrupted_hex\n")
+        rec_fh.write(header + "\n")
+        rec_fh.write("target,probability,trial,sample,site,element,bit,original_hex,corrupted_hex\n")
         for cell in result.cells:
             prefix = f"{cell.target_label},{_fmt(cell.probability)},"
-            for rec in cell.records:
-                fh.write(
-                    prefix
-                    + f"{int(rec['trial'])},{int(rec['sample'])},{int(rec['site'])},"
-                    + f"{int(rec['element'])},{int(rec['bit'])},"
-                    + f"{int(rec['original']):08x},{int(rec['corrupted']):08x}\n"
-                )
+            for row in records_to_rows(cell.records):
+                rec_fh.write(prefix + row + "\n")
 
-    with open(out_dir / LAYERS_FILE, "w", encoding="utf-8") as fh:
-        fh.write(header + "\n")
-        fh.write("target,kind,output_shape,probability,mean,std,min,max\n")
+        layers_fh.write(header + "\n")
+        layers_fh.write("target,kind,output_shape,probability,mean,std,min,max\n")
         for cell in result.cells:
             shape = "x".join(str(e) for e in cell.output_shape)
-            fh.write(
+            layers_fh.write(
                 f"{cell.target_label},{cell.target_kind},{shape},{_fmt(cell.probability)},"
                 f"{_fmt(cell.mean)},{_fmt(cell.std)},{_fmt(cell.min)},{_fmt(cell.max)}\n"
             )
+
+        summary_fh.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")

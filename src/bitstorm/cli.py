@@ -9,13 +9,15 @@
 Exit codes: 0 success, 1 internal error, 2 input/validation error,
 3 resource error (budget, disk, lock contention).  Console output is
 mirrored into run.log inside the output directory.  Concurrent invocations
-against the same output directory are rejected via a lock file.
+against the same output directory are rejected via an flock on a lock file,
+which the kernel releases when the process dies.
 ``BITSTORM_THREADS`` caps the campaign worker count (0 = auto).
 """
 
 from __future__ import annotations
 
 import argparse
+import fcntl
 import json
 import os
 import sys
@@ -68,35 +70,39 @@ class Console:
 
 @contextmanager
 def _locked(out_dir: Path):
+    """Hold an exclusive flock on out_dir/.bitstorm.lock for the whole command.
+
+    The kernel releases the lock when the process dies, so a killed run
+    never blocks the next one.  The holder unlinks the file before it lets
+    go; a process that opened the file before the unlink then finds another
+    inode (or none) at the path and treats that as contention too.
+    """
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".bitstorm.lock"
+    fd = os.open(lock, os.O_CREAT | os.O_WRONLY, 0o644)
     try:
-        fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise ResourceError(
-            f"output directory {out_dir} is in use by another invocation (lock file {lock})"
-        ) from None
-    try:
-        os.write(fd, f"{os.getpid()}\n".encode())
-        os.close(fd)
-        yield
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            held = os.path.samestat(os.fstat(fd), os.stat(lock))
+        except (BlockingIOError, FileNotFoundError):
+            held = False
+        if not held:
+            raise ResourceError(f"output directory {out_dir} is in use by another invocation (lock file {lock})")
+        try:
+            yield
+        finally:
+            lock.unlink(missing_ok=True)
     finally:
-        lock.unlink(missing_ok=True)
+        os.close(fd)
 
 
 def _apply_overrides(config, args):
-    if getattr(args, "seed", None) is not None:
-        config.seed = args.seed
+    """Command-line values replace the config's; CampaignSpec.from_config checks them."""
+    for name in ("seed", "budget", "trials"):
+        if getattr(args, name, None) is not None:
+            setattr(config, name, getattr(args, name))
     if getattr(args, "out", None) is not None:
         config.out_dir = Path(args.out)
-    if getattr(args, "budget", None) is not None:
-        if args.budget < 1:
-            raise ValidationError("--budget must be a positive byte count")
-        config.budget = args.budget
-    if getattr(args, "trials", None) is not None:
-        if args.trials < 1:
-            raise ValidationError("--trials must be at least 1")
-        config.trials = args.trials
     return config
 
 
@@ -130,12 +136,13 @@ def cmd_golden(args, console: Console) -> int:
 
 def cmd_cache(args, console: Console) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    if config.mode != "layer":
+    spec = CampaignSpec.from_config(config)
+    if spec.mode != "layer":
         raise ValidationError("cache requires a layer-wise config (mode 'layer')")
     model, dataset = _load_inputs(config)
     with _locked(config.out_dir):
         console.attach(config.out_dir)
-        caches = layer_caches(model, dataset, resolve_layer_targets(config.target, model), config.budget,
+        caches = layer_caches(model, dataset, resolve_layer_targets(spec.targets, model), spec.budget,
                               Path(config.out_dir) / "caches")
         total = 0
         for layer, cache in caches.items():
@@ -172,8 +179,8 @@ def _print_summary(console: Console, summary: dict):
 
 def cmd_campaign(args, console: Console) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    model, dataset = _load_inputs(config)
     spec = CampaignSpec.from_config(config)
+    model, dataset = _load_inputs(config)
     with _locked(config.out_dir):
         console.attach(config.out_dir)
         result = run_stochastic(spec, model, dataset)

@@ -36,7 +36,7 @@ from .engine import head_batch  # noqa: F401  kept in this namespace: perfbench/
 from .errors import ResourceError, ValidationError
 from .faults import RECORD_DTYPE, FaultSpec, inject_batch
 from .microops import MicroOpModel, run_microops_batch
-from .model_io import Dataset
+from .model_io import Dataset, replacing
 
 CACHE_MANIFEST = "cache_manifest.json"
 GOLDEN_FILE = "golden.bin"
@@ -121,14 +121,6 @@ def _cache_key(content: str, layer: int, budget: int) -> str:
     return hashlib.sha256(doc.encode()).hexdigest()
 
 
-def _replace_bytes(path: Path, data) -> None:
-    """Write `data` to `path` through a temp file, so `path` is whole or absent."""
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
-
-
 @dataclass(eq=False)
 class ActivationCache:
     """Chunked on-disk store of one layer's outputs for an entire dataset.
@@ -211,7 +203,8 @@ class ActivationCache:
             "chunk_count": self.chunk_count,
             "budget": self.budget,
         }
-        _replace_bytes(self.directory / CACHE_MANIFEST, (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+        with replacing([self.directory / CACHE_MANIFEST], "wb") as (fh,):
+            fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
 
 def load_cache(directory) -> ActivationCache:
@@ -304,7 +297,8 @@ def _write_caches(model: Model, dataset: Dataset, directories: dict, budget: int
         golden.flags.writeable = False
         for cache in caches.values():
             cache.golden = golden
-            _replace_bytes(cache.directory / GOLDEN_FILE, golden.astype("<i8").tobytes())
+            with replacing([cache.directory / GOLDEN_FILE], "wb") as (fh,):
+                fh.write(golden.astype("<i8").tobytes())
             cache.save_manifest()
     except OSError as exc:
         raise ResourceError(f"failed to write an activation cache: {exc}") from None
@@ -403,23 +397,3 @@ def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, spec: FaultSpe
     scores = run_microops_batch(expanded, dataset.samples, hook=hook)
     records = np.concatenate(all_records) if all_records else np.empty(0, dtype=RECORD_DTYPE)
     return PredictionSet(predict_batch(scores), "injected", spec.digest()), records
-
-
-def replay_layerwise(model: Model, cache: ActivationCache, records: np.ndarray) -> PredictionSet:
-    """Re-apply recorded corruptions to cached activations and rerun the tail.
-
-    Reproduces the originating trial's predictions exactly; samples without
-    a record stay fault-free.
-    """
-    preds = np.empty(cache.sample_count, dtype=np.int64)
-    for start, acts in cache.iter_chunks():
-        acts = acts.copy()
-        flat = acts.reshape(acts.shape[0], -1).view(np.uint32)
-        in_chunk = (records["sample"] >= start) & (records["sample"] < start + acts.shape[0])
-        for rec in records[in_chunk]:
-            if int(rec["site"]) != cache.layer:
-                raise ValidationError(f"record site {rec['site']} does not match cache layer {cache.layer}")
-            flat[int(rec["sample"]) - start, int(rec["element"])] = rec["corrupted"]
-        scores = tail_scores_batch(model, cache.layer, acts)
-        preds[start : start + acts.shape[0]] = predict_batch(scores)
-    return PredictionSet(preds, "injected", "replay")

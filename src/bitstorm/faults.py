@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,56 @@ RECORD_DTYPE = np.dtype(
         ("corrupted", "<u4"),
     ]
 )
+
+
+# ---------------------------------------------------------------------------
+# Parameter rules: the one check of each fault parameter, wherever it enters
+# ---------------------------------------------------------------------------
+
+
+def check_int(value, what: str, lo: int, hi: int | None = None) -> int:
+    """`value` as an int if it is an integer (not a bool) in lo..hi, else ValidationError."""
+    if (not isinstance(value, numbers.Integral) or isinstance(value, bool)
+            or value < lo or (hi is not None and value > hi)):
+        bound = f"at least {lo}" if hi is None else f"in {lo}..{hi}"
+        raise ValidationError(f"{what} must be an integer {bound}, got {value!r}")
+    return int(value)
+
+
+def check_u64(value, what: str) -> int:
+    return check_int(value, what, 0, 2**64 - 1)
+
+
+def check_mode(mode) -> None:
+    if mode not in ("op", "layer"):
+        raise ValidationError(f"mode must be 'op' or 'layer', got {mode!r}")
+
+
+def check_fault(fault, bit) -> int | None:
+    """Checks the fault kind and returns its bit: an index in 0..31 for bit_flip_specific, else None."""
+    if fault not in FAULT_KINDS:
+        raise ValidationError(f"unknown fault kind {fault!r}; expected one of {FAULT_KINDS}")
+    if fault == "bit_flip_specific":
+        return check_int(bit, "the bit of bit_flip_specific", 0, 31)
+    if bit is not None:
+        raise ValidationError(f"fault kind {fault!r} does not take a bit index")
+    return None
+
+
+def check_probability(p) -> float:
+    if not isinstance(p, numbers.Real) or isinstance(p, bool) or not 0.0 <= p <= 1.0:
+        raise ValidationError(f"probability {p!r} outside [0, 1]")
+    return float(p)
+
+
+def check_op_kinds(kinds) -> tuple:
+    kinds = tuple(kinds)
+    if not kinds:
+        raise ValidationError("operation-wise target must name at least one op kind")
+    unknown = [k for k in kinds if k not in INJECTABLE_KINDS]
+    if unknown:
+        raise ValidationError(f"unknown op kinds {unknown}; expected among {list(INJECTABLE_KINDS)}")
+    return kinds
 
 
 # ---------------------------------------------------------------------------
@@ -98,13 +149,6 @@ def philox_block(counters: np.ndarray, key0: np.uint64, key1: np.uint64) -> np.n
     return np.stack([x0, x1, x2, x3], axis=1)
 
 
-def _as_u64(value: int, what: str) -> int:
-    value = int(value)
-    if not 0 <= value < 2**64:
-        raise ValidationError(f"{what} must fit in an unsigned 64-bit integer, got {value}")
-    return value
-
-
 class PhiloxStream:
     """A buffered, value-like stream of 64-bit words for one (trial, sample, site).
 
@@ -114,10 +158,10 @@ class PhiloxStream:
     __slots__ = ("seed", "trial", "sample", "site", "_next_block", "_buffer", "_pos", "_chunk")
 
     def __init__(self, seed: int, trial: int, sample: int, site: int):
-        self.seed = _as_u64(seed, "seed")
-        self.trial = _as_u64(trial, "trial")
-        self.sample = _as_u64(sample, "sample")
-        self.site = _as_u64(site, "site")
+        self.seed = check_u64(seed, "seed")
+        self.trial = check_u64(trial, "trial")
+        self.sample = check_u64(sample, "sample")
+        self.site = check_u64(site, "site")
         self._next_block = 0
         self._buffer = np.empty(0, dtype=np.uint64)
         self._pos = 0
@@ -173,30 +217,14 @@ class FaultSpec:
     bit: int | None = None  # required iff fault == "bit_flip_specific"
 
     def __post_init__(self):
-        if self.mode not in ("op", "layer"):
-            raise ValidationError(f"mode must be 'op' or 'layer', got {self.mode!r}")
-        if self.fault not in FAULT_KINDS:
-            raise ValidationError(f"unknown fault kind {self.fault!r}; expected one of {FAULT_KINDS}")
-        if self.fault == "bit_flip_specific":
-            if self.bit is None or not 0 <= int(self.bit) <= 31:
-                raise ValidationError("bit_flip_specific requires a bit index in 0..31")
-        elif self.bit is not None:
-            raise ValidationError(f"fault kind {self.fault!r} does not take a bit index")
-        if not 0.0 <= float(self.probability) <= 1.0:
-            raise ValidationError(f"probability must be in [0, 1], got {self.probability}")
-        _as_u64(self.seed, "seed")
+        check_mode(self.mode)
+        check_fault(self.fault, self.bit)
+        check_probability(self.probability)
+        check_u64(self.seed, "seed")
         if self.mode == "op":
-            kinds = tuple(self.target)
-            if not kinds:
-                raise ValidationError("operation-wise target must name at least one op kind")
-            unknown = sorted(set(kinds) - set(INJECTABLE_KINDS))
-            if unknown:
-                raise ValidationError(f"unknown op kinds {unknown}; expected among {list(INJECTABLE_KINDS)}")
-            object.__setattr__(self, "target", kinds)
+            object.__setattr__(self, "target", check_op_kinds(self.target))
         else:
-            if int(self.target) < 0:
-                raise ValidationError(f"layer index must be non-negative, got {self.target}")
-            object.__setattr__(self, "target", int(self.target))
+            object.__setattr__(self, "target", check_int(self.target, "layer index", 0))
 
     def digest(self) -> str:
         doc = {
@@ -219,12 +247,6 @@ class InjectionRecord:
     bit: int  # NO_BIT for zero / random_value faults
     original: int  # u32 bit pattern before corruption
     corrupted: int  # u32 bit pattern after corruption
-
-    def csv_row(self) -> str:
-        return (
-            f"{self.trial},{self.sample},{self.site},{self.element},"
-            f"{self.bit},{self.original:08x},{self.corrupted:08x}"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +340,9 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, trial: int, sample_ids: np.n
     n_elements = int(np.prod(acts.shape[1:]))
     sample_ids = np.asarray(sample_ids, dtype=np.uint64)
     counters = np.zeros((n_samples, 4), dtype=np.uint64)
-    counters[:, 1] = np.uint64(_as_u64(trial, "trial"))
+    counters[:, 1] = np.uint64(check_u64(trial, "trial"))
     counters[:, 2] = sample_ids
-    counters[:, 3] = np.uint64(_as_u64(site, "site"))
+    counters[:, 3] = np.uint64(check_u64(site, "site"))
     words = philox_block(counters, np.uint64(spec.seed), KEY_SALT)
 
     u = (words[:, 0] >> np.uint64(11)).astype(np.float64) * 2.0**-53

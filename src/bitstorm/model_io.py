@@ -17,7 +17,10 @@ converts or rounds.
 from __future__ import annotations
 
 import json
+import numbers
+import os
 import struct
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -26,7 +29,7 @@ import numpy as np
 from . import engine
 from .engine import Conv2D, Dense, Dropout, Flatten, MaxPool2D, Model, PReLU, ReLU, Softmax
 from .errors import ValidationError
-from .faults import FAULT_KINDS
+from .faults import check_fault, check_int, check_mode, check_op_kinds, check_probability, check_u64
 
 FORMAT_VERSION = 1
 SAMPLES_MAGIC = b"BSDS"
@@ -290,8 +293,43 @@ DEFAULT_CMA_WINDOW = 20
 DEFAULT_CMA_EPSILON = 0.002
 DEFAULT_BUDGET = 64 * 1024 * 1024
 
-_MODES = ("op", "layer")
-_METRICS = ("ground_truth", "golden_run")
+
+def check_campaign(*, mode, targets, probabilities, fault, bit, trials, metric, seed, budget, cma_window, cma_epsilon) -> dict:
+    """Every campaign parameter checked and normalised, keyed as passed in.
+
+    The one implementation of the campaign rules: config.json, CLI overrides
+    and CampaignSpec all pass through it before any model pass.  `targets`
+    comes back as "all" or a non-empty list (a scalar becomes a one-element
+    list) and `probabilities` sorted without duplicates.
+    """
+    check_mode(mode)
+    if metric not in ("ground_truth", "golden_run"):
+        raise ValidationError(f"metric must be 'ground_truth' or 'golden_run', got {metric!r}")
+    if targets != "all":
+        targets = list(targets) if isinstance(targets, (list, tuple)) else [targets]
+        if mode == "op":
+            targets = list(check_op_kinds(targets))
+        elif not targets:
+            raise ValidationError("layer-wise target must name at least one layer")
+        else:
+            targets = [check_int(t, "layer target", 0) for t in targets]
+    if not isinstance(probabilities, (list, tuple)) or not probabilities:
+        raise ValidationError(f"probabilities must be a list with at least one probability, got {probabilities!r}")
+    if not isinstance(cma_epsilon, numbers.Real) or isinstance(cma_epsilon, bool) or not cma_epsilon > 0:
+        raise ValidationError(f"cma_epsilon must be a positive number, got {cma_epsilon!r}")
+    return dict(
+        mode=mode,
+        targets=targets,
+        probabilities=sorted({check_probability(p) for p in probabilities}),
+        fault=fault,
+        bit=check_fault(fault, bit),
+        trials=check_int(trials, "trials", 1),
+        metric=metric,
+        seed=check_u64(seed, "seed"),
+        budget=check_int(budget, "budget", 1),
+        cma_window=check_int(cma_window, "cma_window", 2),
+        cma_epsilon=float(cma_epsilon),
+    )
 
 
 @dataclass
@@ -314,28 +352,8 @@ class RunConfig:
     cma_epsilon: float = DEFAULT_CMA_EPSILON
 
 
-def _parse_target(mode: str, target, where: str):
-    if target == "all":
-        return "all"
-    if mode == "layer":
-        targets = target if isinstance(target, list) else [target]
-        if not targets:
-            raise ValidationError(f"{where}: target list must not be empty")
-        for t in targets:
-            if not isinstance(t, int) or t < 0:
-                raise ValidationError(f"{where}: layer targets must be non-negative indices, got {t!r}")
-        return [int(t) for t in targets]
-    targets = target if isinstance(target, list) else [target]
-    if not targets:
-        raise ValidationError(f"{where}: target list must not be empty")
-    for t in targets:
-        if not isinstance(t, str):
-            raise ValidationError(f"{where}: op targets must be op-kind names, got {t!r}")
-    return [str(t) for t in targets]
-
-
 def load_config(path) -> RunConfig:
-    """Load and validate a run configuration."""
+    """Load a run configuration and check it with check_campaign."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
@@ -344,70 +362,50 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from None
     where = str(path)
-
-    mode = _require(doc, "mode", where)
-    if mode not in _MODES:
-        raise ValidationError(f"{where}: mode must be one of {_MODES}, got {mode!r}")
-    fault = _require(doc, "fault", where)
-    if fault not in FAULT_KINDS:
-        raise ValidationError(f"{where}: fault must be one of {FAULT_KINDS}, got {fault!r}")
-    bit = doc.get("bit")
-    if fault == "bit_flip_specific":
-        if bit is None or not isinstance(bit, int) or not 0 <= bit <= 31:
-            raise ValidationError(f"{where}: field 'bit' must be an integer in 0..31 for bit_flip_specific")
-    elif bit is not None:
-        raise ValidationError(f"{where}: field 'bit' is only valid with fault bit_flip_specific")
-
-    probabilities = _require(doc, "probabilities", where)
-    if not isinstance(probabilities, list) or not probabilities:
-        raise ValidationError(f"{where}: probabilities must be a non-empty list")
-    for p in probabilities:
-        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise ValidationError(f"{where}: probability {p!r} outside [0, 1]")
-
-    trials = doc.get("trials", DEFAULT_TRIALS)
-    if not isinstance(trials, int) or trials < 1:
-        raise ValidationError(f"{where}: trials must be an integer >= 1, got {trials!r}")
-
-    metric = doc.get("metric", "golden_run")
-    if metric not in _METRICS:
-        raise ValidationError(f"{where}: metric must be one of {_METRICS}, got {metric!r}")
-
-    seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or not 0 <= seed < 2**64:
-        raise ValidationError(f"{where}: seed must be an unsigned 64-bit integer")
-
-    budget = doc.get("budget", DEFAULT_BUDGET)
-    if not isinstance(budget, int) or budget < 1:
-        raise ValidationError(f"{where}: budget must be a positive byte count")
-
-    window = doc.get("cma_window", DEFAULT_CMA_WINDOW)
-    if not isinstance(window, int) or window < 2:
-        raise ValidationError(f"{where}: cma_window must be an integer >= 2")
-    epsilon = doc.get("cma_epsilon", DEFAULT_CMA_EPSILON)
-    if not isinstance(epsilon, (int, float)) or epsilon <= 0:
-        raise ValidationError(f"{where}: cma_epsilon must be positive")
-
-    base = path.parent
-    return RunConfig(
-        model=base / _require(doc, "model", where),
-        dataset=base / _require(doc, "dataset", where),
-        mode=mode,
-        target=_parse_target(mode, _require(doc, "target", where), where),
-        fault=fault,
-        bit=bit,
-        probabilities=[float(p) for p in probabilities],
-        trials=trials,
-        metric=metric,
-        seed=seed,
-        out_dir=base / _require(doc, "out_dir", where),
-        budget=budget,
-        cma_window=window,
-        cma_epsilon=float(epsilon),
+    fields = dict(
+        mode=_require(doc, "mode", where),
+        targets=_require(doc, "target", where),
+        probabilities=_require(doc, "probabilities", where),
+        fault=_require(doc, "fault", where),
+        bit=doc.get("bit"),
+        trials=doc.get("trials", DEFAULT_TRIALS),
+        metric=doc.get("metric", "golden_run"),
+        seed=doc.get("seed", 0),
+        budget=doc.get("budget", DEFAULT_BUDGET),
+        cma_window=doc.get("cma_window", DEFAULT_CMA_WINDOW),
+        cma_epsilon=doc.get("cma_epsilon", DEFAULT_CMA_EPSILON),
     )
+    base = path.parent
+    paths = {name: base / _require(doc, name, where) for name in ("model", "dataset", "out_dir")}
+    try:
+        fields = check_campaign(**fields)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+    return RunConfig(target=fields.pop("targets"), **fields, **paths)
 
 
 def save_config(doc: dict, path) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+@contextmanager
+def replacing(paths, mode: str = "w"):
+    """Open `<name>.tmp` beside each path in `paths` and yield the open files.
+
+    Once the block completes, every file is closed and only then renamed
+    over its path, in the order given, so each path holds either its old
+    bytes or its whole new content.  If the block raises, the temp files are
+    removed and no path is touched.
+    """
+    tmps = [p.with_name(p.name + ".tmp") for p in paths]
+    try:
+        with ExitStack() as stack:
+            yield [stack.enter_context(open(t, mode, encoding=None if "b" in mode else "utf-8")) for t in tmps]
+    except BaseException:
+        for tmp in tmps:
+            tmp.unlink(missing_ok=True)
+        raise
+    for tmp, path in zip(tmps, paths):
+        os.replace(tmp, path)

@@ -332,6 +332,37 @@ class TestEmitReport:
         for name in (SUMMARY_FILE, ACCURACY_FILE, CMA_FILE, RECORDS_FILE, LAYERS_FILE):
             assert (out / name).read_bytes() == (again / name).read_bytes(), name
 
+    def test_write_failure_keeps_previous_report(self, mini_campaign, tmp_path, monkeypatch):
+        import dataclasses
+
+        import bitstorm.campaign as camp
+
+        spec, result, out = mini_campaign
+        names = (SUMMARY_FILE, ACCURACY_FILE, CMA_FILE, RECORDS_FILE, LAYERS_FILE)
+        before = {name: (out / name).read_bytes() for name in names}
+        # another seed changes the header of every file, so any file replaced would show
+        other = dataclasses.replace(result, spec=dataclasses.replace(spec, seed=spec.seed + 1))
+        real = camp.records_to_rows
+
+        def failing(records):
+            yield from real(records)
+            if records.size:  # fail after the rows of the first cell with records
+                raise OSError(28, "No space left on device")
+
+        report = tmp_path / "report"
+        emit_report(result, report)
+        monkeypatch.setattr(camp, "records_to_rows", failing)
+        with pytest.raises(OSError, match="No space"):
+            emit_report(other, report)
+        for name in names:
+            assert (report / name).read_bytes() == before[name], name
+        assert sorted(p.name for p in report.iterdir()) == sorted(names)
+
+        monkeypatch.setattr(camp, "records_to_rows", real)
+        emit_report(other, report)
+        for name in names:
+            assert (report / name).read_bytes() != before[name], name
+
     def test_layers_csv_carries_kind_and_shape(self, mini_campaign):
         _, _, out = mini_campaign
         lines = (out / LAYERS_FILE).read_text().splitlines()

@@ -1,11 +1,14 @@
 """CLI tests: subcommands end to end, exit codes, locking, run.log."""
 
+import fcntl
 import json
+import os
 
 import numpy as np
 import pytest
 
-from bitstorm.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, main
+from bitstorm.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, _locked, main
+from bitstorm.errors import ResourceError
 from bitstorm.model_io import Dataset, load_dataset, save_config, save_dataset
 
 
@@ -172,15 +175,48 @@ class TestLocking:
     def test_locked_out_dir_exits_3(self, toy_dir, tmp_path):
         out = tmp_path / "g"
         out.mkdir()
-        (out / ".bitstorm.lock").write_text("999\n")
+        fd = os.open(out / ".bitstorm.lock", os.O_CREAT | os.O_WRONLY)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)  # a live holder, as another invocation would be
+            config = _write_config(tmp_path / "config.json", toy_dir, out_dir=str(out))
+            assert main(["golden", "--config", str(config)]) == EXIT_RESOURCE
+        finally:
+            os.close(fd)
+
+    def test_leftover_lock_file_does_not_block(self, toy_dir, tmp_path):
+        out = tmp_path / "g"
+        out.mkdir()
+        (out / ".bitstorm.lock").write_text("999\n")  # left behind by a killed run, no holder
         config = _write_config(tmp_path / "config.json", toy_dir, out_dir=str(out))
-        assert main(["golden", "--config", str(config)]) == EXIT_RESOURCE
+        assert main(["golden", "--config", str(config)]) == EXIT_OK
+        assert not (out / ".bitstorm.lock").exists()
 
     def test_lock_released_after_run(self, toy_dir, tmp_path):
         out = tmp_path / "g"
         config = _write_config(tmp_path / "config.json", toy_dir, out_dir=str(out))
         assert main(["golden", "--config", str(config)]) == EXIT_OK
         assert not (out / ".bitstorm.lock").exists()
+
+    def test_nested_invocation_is_contention(self, tmp_path):
+        with _locked(tmp_path):
+            with pytest.raises(ResourceError, match="in use"):
+                with _locked(tmp_path):
+                    pass
+        assert not (tmp_path / ".bitstorm.lock").exists()
+
+    def test_lock_file_replaced_before_flock_is_contention(self, tmp_path, monkeypatch):
+        real = fcntl.flock
+
+        def flock_after_replace(fd, operation):
+            # the previous holder finished, unlinking the file we opened, and a third run made a new one
+            (tmp_path / ".bitstorm.lock").unlink()
+            (tmp_path / ".bitstorm.lock").touch()
+            return real(fd, operation)
+
+        monkeypatch.setattr(fcntl, "flock", flock_after_replace)
+        with pytest.raises(ResourceError, match="in use"):
+            with _locked(tmp_path):
+                pass
 
 
 class TestInvalidInputs:

@@ -12,7 +12,6 @@ from bitstorm.executor import (
     build_cache,
     golden_run,
     load_cache,
-    replay_layerwise,
     run_injected_layerwise,
     run_injected_opwise,
     run_tail,
@@ -151,15 +150,6 @@ class TestLayerwiseInjection:
         spec = FaultSpec(mode="layer", target=3, fault="zero", probability=1.0, seed=0)
         with pytest.raises(ValidationError, match="targets layer 3"):
             run_injected_layerwise(model, cache, spec, trial=0)
-
-    def test_replay_reproduces_trial_predictions(self, toy, tmp_path):
-        model, dataset = toy
-        subset = _small_dataset(dataset, 30)
-        cache = build_cache(model, subset, 1, 1 << 26, tmp_path / "c")
-        spec = FaultSpec(mode="layer", target=1, fault="bit_flip_random", probability=0.6, seed=23)
-        preds, records = run_injected_layerwise(model, cache, spec, trial=2)
-        replayed = replay_layerwise(model, cache, records)
-        assert np.array_equal(replayed.predictions, preds.predictions)
 
     def test_chunked_equals_preloaded(self, toy, tmp_path):
         model, dataset = toy
