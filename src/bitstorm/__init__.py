@@ -25,9 +25,9 @@ from .engine import (
 from .errors import BitstormError, ResourceError, ValidationError
 from .faults import FaultSpec, InjectionRecord, corrupt_element, derive_stream, flip_bit, maybe_inject
 from .microops import expand_prelu
-from .model_io import Dataset, RunConfig, load_config, load_dataset, load_model, save_dataset, save_model
-from .executor import ActivationCache, PredictionSet, build_cache, golden_run, run_tail
-from .campaign import CampaignSpec, accuracy, cma, converged, emit_report, run_deterministic_100, run_stochastic
+from .model_io import CampaignSpec, Dataset, RunConfig, load_config, load_dataset, load_model, save_dataset, save_model
+from .executor import ActivationCache, build_cache, golden_run, run_tail
+from .campaign import accuracy, cma, converged, emit_report, run_deterministic_100, run_stochastic
 
 __all__ = [
     "ActivationCache",
@@ -44,7 +44,6 @@ __all__ = [
     "MaxPool2D",
     "Model",
     "PReLU",
-    "PredictionSet",
     "ReLU",
     "ResourceError",
     "RunConfig",

@@ -26,19 +26,10 @@ import numpy as np
 from . import __version__
 from .engine import INVALID_PREDICTION, Model
 from .errors import ValidationError
-from .executor import PredictionSet, golden_run, layer_caches, run_injected_layerwise, run_injected_opwise
+from .executor import golden_run, layer_caches, run_injected_layerwise, run_injected_opwise
 from .faults import RECORD_DTYPE, RNG_ALGORITHM, FaultSpec, check_int, records_to_rows
 from .microops import INJECTABLE_KINDS, expand_prelu
-from .model_io import (
-    DEFAULT_BUDGET,
-    DEFAULT_CMA_EPSILON,
-    DEFAULT_CMA_WINDOW,
-    DEFAULT_TRIALS,
-    Dataset,
-    RunConfig,
-    check_campaign,
-    replacing,
-)
+from .model_io import DEFAULT_CMA_EPSILON, DEFAULT_CMA_WINDOW, CampaignSpec, Dataset, replacing
 
 SUMMARY_FILE = "summary.json"
 ACCURACY_FILE = "accuracy.csv"
@@ -52,15 +43,13 @@ LAYERS_FILE = "layers.csv"
 # ---------------------------------------------------------------------------
 
 
-def accuracy(preds: PredictionSet, reference) -> float:
-    """Fraction of predictions equal to the reference.
+def accuracy(preds, reference) -> float:
+    """Fraction of predictions equal to the reference (labels or golden predictions).
 
-    The reference is either a label vector or another PredictionSet (golden
-    run).  Invalid predictions never match anything, including themselves.
+    Invalid predictions never match anything, including themselves.
     """
-    p = np.asarray(preds.predictions, dtype=np.int64)
-    ref = reference.predictions if isinstance(reference, PredictionSet) else reference
-    ref = np.asarray(ref, dtype=np.int64)
+    p = np.asarray(preds, dtype=np.int64)
+    ref = np.asarray(reference, dtype=np.int64)
     if len(p) != len(ref):
         raise ValidationError(f"prediction count {len(p)} does not match reference count {len(ref)}")
     match = (p == ref) & (p != INVALID_PREDICTION)
@@ -110,45 +99,8 @@ def _seq_std(xs, mean: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Campaign specification and results
+# Campaign results
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class CampaignSpec:
-    mode: str  # "op" | "layer"
-    targets: object  # "all", layer index list, or op-kind list
-    probabilities: list[float]
-    fault: str = "bit_flip_random"
-    bit: int | None = None
-    trials: int = DEFAULT_TRIALS
-    metric: str = "golden_run"  # "ground_truth" | "golden_run"
-    seed: int = 0
-    out_dir: Path | None = None
-    budget: int = DEFAULT_BUDGET
-    cma_window: int = DEFAULT_CMA_WINDOW
-    cma_epsilon: float = DEFAULT_CMA_EPSILON
-
-    def __post_init__(self):
-        params = {name: value for name, value in vars(self).items() if name != "out_dir"}
-        vars(self).update(check_campaign(**params))
-
-    @classmethod
-    def from_config(cls, config: RunConfig) -> "CampaignSpec":
-        return cls(
-            mode=config.mode,
-            targets=config.target,
-            probabilities=config.probabilities,
-            fault=config.fault,
-            bit=config.bit,
-            trials=config.trials,
-            metric=config.metric,
-            seed=config.seed,
-            out_dir=config.out_dir,
-            budget=config.budget,
-            cma_window=config.cma_window,
-            cma_epsilon=config.cma_epsilon,
-        )
 
 
 @dataclass(eq=False)
@@ -174,7 +126,7 @@ class CellResult:
 class CampaignResult:
     spec: CampaignSpec
     reference_accuracy: float
-    golden: PredictionSet
+    golden: np.ndarray  # (samples,) int64 golden predictions
     cells: list[CellResult]
     partial: bool = False
 
@@ -211,14 +163,16 @@ def resolve_layer_targets(targets, model: Model) -> list[int]:
     return targets
 
 
-def _resolve_op_targets(spec: CampaignSpec, expanded) -> list[str]:
-    present = expanded.kinds_present()
-    if spec.targets == "all":
+def _resolve_op_targets(targets, expanded) -> list[str]:
+    """Op kinds named by checked campaign targets; each must occur in the model."""
+    if targets == "all":
+        present = expanded.kinds_present()
         kinds = [k for k in INJECTABLE_KINDS if k in present]
         if not kinds:
             raise ValidationError("model contains no injectable micro-ops")
         return kinds
-    return spec.targets
+    expanded.require_kinds(targets)
+    return targets
 
 
 def _worker_count(workers) -> int:
@@ -264,11 +218,11 @@ def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int,
     if spec.mode == "layer":
         targets = resolve_layer_targets(spec.targets, model)
         caches = layer_caches(model, dataset, targets, spec.budget, cache_root)
-        golden = PredictionSet(caches[targets[0]].golden, "golden", "golden")
+        golden = caches[targets[0]].golden
     else:
-        golden = golden_run(model, dataset)
         expanded = expand_prelu(model)
-        targets = _resolve_op_targets(spec, expanded)
+        targets = _resolve_op_targets(spec.targets, expanded)
+        golden = golden_run(model, dataset)
     if spec.metric == "ground_truth":
         reference = dataset.labels.astype(np.int64)
         reference_accuracy = accuracy(golden, reference)

@@ -17,6 +17,7 @@ which the kernel releases when the process dies.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import fcntl
 import json
 import os
@@ -27,7 +28,6 @@ from pathlib import Path
 from . import __version__
 from .campaign import (
     ACCURACY_FILE,
-    CampaignSpec,
     RECORDS_FILE,
     SUMMARY_FILE,
     accuracy,
@@ -97,12 +97,11 @@ def _locked(out_dir: Path):
 
 
 def _apply_overrides(config, args):
-    """Command-line values replace the config's; CampaignSpec.from_config checks them."""
-    for name in ("seed", "budget", "trials"):
-        if getattr(args, name, None) is not None:
-            setattr(config, name, getattr(args, name))
+    """Command-line values replace the config's; replace() re-runs the campaign checks."""
+    changes = {name: getattr(args, name) for name in ("seed", "budget", "trials") if getattr(args, name, None) is not None}
     if getattr(args, "out", None) is not None:
-        config.out_dir = Path(args.out)
+        changes["out_dir"] = Path(args.out)
+    config.spec = dataclasses.replace(config.spec, **changes)
     return config
 
 
@@ -114,36 +113,29 @@ def _load_inputs(config):
 
 def cmd_golden(args, console: Console) -> int:
     config = _apply_overrides(load_config(args.config), args)
+    out_dir = config.spec.out_dir
     model, dataset = _load_inputs(config)
-    with _locked(config.out_dir):
-        console.attach(config.out_dir)
+    with _locked(out_dir):
+        console.attach(out_dir)
         preds = golden_run(model, dataset)
-        vs_labels = accuracy(preds, dataset.labels.astype("int64"))
-        doc = {
-            "provenance": preds.provenance,
-            "spec_digest": preds.spec_digest,
-            "sample_count": len(preds),
-            "predictions": [int(p) for p in preds.predictions],
-            "accuracy_vs_labels": vs_labels,
-        }
-        (config.out_dir / "golden.json").write_text(
-            json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
-        console.line(f"golden run: {len(preds)} predictions -> {config.out_dir / 'golden.json'}")
+        vs_labels = accuracy(preds, dataset.labels)
+        doc = {"sample_count": len(preds), "predictions": preds.tolist(), "accuracy_vs_labels": vs_labels}
+        (out_dir / "golden.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        console.line(f"golden run: {len(preds)} predictions -> {out_dir / 'golden.json'}")
         console.line(f"accuracy vs labels: {vs_labels!r}")
     return EXIT_OK
 
 
 def cmd_cache(args, console: Console) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    spec = CampaignSpec.from_config(config)
+    spec = config.spec
     if spec.mode != "layer":
         raise ValidationError("cache requires a layer-wise config (mode 'layer')")
     model, dataset = _load_inputs(config)
-    with _locked(config.out_dir):
-        console.attach(config.out_dir)
+    with _locked(spec.out_dir):
+        console.attach(spec.out_dir)
         caches = layer_caches(model, dataset, resolve_layer_targets(spec.targets, model), spec.budget,
-                              Path(config.out_dir) / "caches")
+                              spec.out_dir / "caches")
         total = 0
         for layer, cache in caches.items():
             console.line(
@@ -179,24 +171,24 @@ def _print_summary(console: Console, summary: dict):
 
 def cmd_campaign(args, console: Console) -> int:
     config = _apply_overrides(load_config(args.config), args)
-    spec = CampaignSpec.from_config(config)
+    spec = config.spec
     model, dataset = _load_inputs(config)
-    with _locked(config.out_dir):
-        console.attach(config.out_dir)
+    with _locked(spec.out_dir):
+        console.attach(spec.out_dir)
         result = run_stochastic(spec, model, dataset)
-        emit_report(result, config.out_dir)
-        summary = json.loads((Path(config.out_dir) / SUMMARY_FILE).read_text(encoding="utf-8"))
+        emit_report(result, spec.out_dir)
+        summary = json.loads((spec.out_dir / SUMMARY_FILE).read_text(encoding="utf-8"))
         _print_summary(console, summary)
-        console.line(f"report written to {config.out_dir} ({SUMMARY_FILE}, {ACCURACY_FILE}, cma.csv, {RECORDS_FILE}, layers.csv)")
+        console.line(f"report written to {spec.out_dir} ({SUMMARY_FILE}, {ACCURACY_FILE}, cma.csv, {RECORDS_FILE}, layers.csv)")
     return EXIT_OK
 
 
 def cmd_report(args, console: Console) -> int:
-    config = _apply_overrides(load_config(args.config), args)
-    summary_path = Path(config.out_dir) / SUMMARY_FILE
+    out_dir = _apply_overrides(load_config(args.config), args).spec.out_dir
+    summary_path = out_dir / SUMMARY_FILE
     if not summary_path.is_file():
         raise ValidationError(f"no campaign summary found at {summary_path}; run 'bitstorm campaign' first")
-    console.attach(config.out_dir)
+    console.attach(out_dir)
     summary = json.loads(summary_path.read_text(encoding="utf-8"))
     console.line(f"campaign report {summary_path} ({summary['tool']}, rng={summary['rng']}, seed={summary['seed']})")
     if summary.get("partial"):

@@ -49,18 +49,6 @@ CACHE_FORMAT_VERSION = 2
 _BUILD_BATCH = 256
 
 
-@dataclass(eq=False)
-class PredictionSet:
-    """Per-sample predicted class indices (INVALID_PREDICTION marks all-NaN scores)."""
-
-    predictions: np.ndarray  # (samples,) int64
-    provenance: str  # "golden" | "injected"
-    spec_digest: str
-
-    def __len__(self) -> int:
-        return len(self.predictions)
-
-
 def _check_pairing(model: Model, dataset: Dataset):
     if dataset.sample_shape != model.input_shape:
         raise ValidationError(
@@ -72,11 +60,10 @@ def _check_pairing(model: Model, dataset: Dataset):
         )
 
 
-def golden_run(model: Model, dataset: Dataset) -> PredictionSet:
-    """Injection-free predictions for the whole dataset; deterministic."""
+def golden_run(model: Model, dataset: Dataset) -> np.ndarray:
+    """Injection-free predicted class per sample, int64 (INVALID_PREDICTION for all-NaN scores)."""
     _check_pairing(model, dataset)
-    scores = forward_batch(model, dataset.samples)
-    return PredictionSet(predictions=predict_batch(scores), provenance="golden", spec_digest="golden")
+    return predict_batch(forward_batch(model, dataset.samples))
 
 
 def run_tail(model: Model, layer_index: int, activation: np.ndarray) -> int:
@@ -368,7 +355,7 @@ def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec
         if changed.size:
             preds[changed] = predict_batch(tail_scores_batch(model, cache.layer, corrupted))
     records = np.concatenate(all_records) if all_records else np.empty(0, dtype=RECORD_DTYPE)
-    return PredictionSet(preds, "injected", spec.digest()), records
+    return preds, records
 
 
 def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, spec: FaultSpec, trial: int):
@@ -377,12 +364,7 @@ def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, spec: FaultSpe
         raise ValidationError("run_injected_opwise requires an operation mode of 'op'")
     _check_pairing(expanded.model, dataset)
     target = set(spec.target)
-    present = expanded.kinds_present()
-    missing = sorted(target - present)
-    if missing:
-        raise ValidationError(
-            f"target op kinds {missing} do not occur in the model (present: {sorted(present - {'Opaque'})})"
-        )
+    expanded.require_kinds(target)
     sample_ids = np.arange(len(dataset), dtype=np.uint64)
     all_records = []
 
@@ -396,4 +378,4 @@ def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, spec: FaultSpe
 
     scores = run_microops_batch(expanded, dataset.samples, hook=hook)
     records = np.concatenate(all_records) if all_records else np.empty(0, dtype=RECORD_DTYPE)
-    return PredictionSet(predict_batch(scores), "injected", spec.digest()), records
+    return predict_batch(scores), records

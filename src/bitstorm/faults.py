@@ -21,8 +21,6 @@ constant and later records never depend on earlier Bernoulli outcomes.
 
 from __future__ import annotations
 
-import hashlib
-import json
 import numbers
 from dataclasses import dataclass
 
@@ -225,17 +223,6 @@ class FaultSpec:
             object.__setattr__(self, "target", check_op_kinds(self.target))
         else:
             object.__setattr__(self, "target", check_int(self.target, "layer index", 0))
-
-    def digest(self) -> str:
-        doc = {
-            "mode": self.mode,
-            "target": list(self.target) if self.mode == "op" else self.target,
-            "fault": self.fault,
-            "bit": self.bit,
-            "probability": self.probability,
-            "seed": self.seed,
-        }
-        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()[:16]
 
 
 @dataclass(frozen=True)

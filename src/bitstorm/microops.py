@@ -55,6 +55,15 @@ class MicroOpModel:
     def kinds_present(self) -> set[str]:
         return {op.kind for op in self.all_ops()}
 
+    def require_kinds(self, kinds) -> None:
+        """Raise ValidationError unless every kind in `kinds` occurs in the model."""
+        present = self.kinds_present()
+        missing = sorted(set(kinds) - present)
+        if missing:
+            raise ValidationError(
+                f"target op kinds {missing} do not occur in the model (present: {sorted(present - {'Opaque'})})"
+            )
+
     def count_ops(self, kinds) -> int:
         """Number of micro-ops per inference whose kind is in `kinds`."""
         return sum(1 for op in self.all_ops() if op.kind in kinds)

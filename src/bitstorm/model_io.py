@@ -21,12 +21,11 @@ import numbers
 import os
 import struct
 from contextlib import ExitStack, contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from . import engine
 from .engine import Conv2D, Dense, Dropout, Flatten, MaxPool2D, Model, PReLU, ReLU, Softmax
 from .errors import ValidationError
 from .faults import check_fault, check_int, check_mode, check_op_kinds, check_probability, check_u64
@@ -294,66 +293,70 @@ DEFAULT_CMA_EPSILON = 0.002
 DEFAULT_BUDGET = 64 * 1024 * 1024
 
 
-def check_campaign(*, mode, targets, probabilities, fault, bit, trials, metric, seed, budget, cma_window, cma_epsilon) -> dict:
-    """Every campaign parameter checked and normalised, keyed as passed in.
+@dataclass
+class CampaignSpec:
+    """Every campaign parameter, checked and normalised at construction.
 
     The one implementation of the campaign rules: config.json, CLI overrides
-    and CampaignSpec all pass through it before any model pass.  `targets`
-    comes back as "all" or a non-empty list (a scalar becomes a one-element
-    list) and `probabilities` sorted without duplicates.
+    (through dataclasses.replace) and direct construction all pass through
+    __post_init__ before any model pass.  `targets` ends up "all" or a
+    non-empty list (a scalar becomes a one-element list) and `probabilities`
+    sorted without duplicates.
     """
-    check_mode(mode)
-    if metric not in ("ground_truth", "golden_run"):
-        raise ValidationError(f"metric must be 'ground_truth' or 'golden_run', got {metric!r}")
-    if targets != "all":
-        targets = list(targets) if isinstance(targets, (list, tuple)) else [targets]
-        if mode == "op":
-            targets = list(check_op_kinds(targets))
-        elif not targets:
-            raise ValidationError("layer-wise target must name at least one layer")
-        else:
-            targets = [check_int(t, "layer target", 0) for t in targets]
-    if not isinstance(probabilities, (list, tuple)) or not probabilities:
-        raise ValidationError(f"probabilities must be a list with at least one probability, got {probabilities!r}")
-    if not isinstance(cma_epsilon, numbers.Real) or isinstance(cma_epsilon, bool) or not cma_epsilon > 0:
-        raise ValidationError(f"cma_epsilon must be a positive number, got {cma_epsilon!r}")
-    return dict(
-        mode=mode,
-        targets=targets,
-        probabilities=sorted({check_probability(p) for p in probabilities}),
-        fault=fault,
-        bit=check_fault(fault, bit),
-        trials=check_int(trials, "trials", 1),
-        metric=metric,
-        seed=check_u64(seed, "seed"),
-        budget=check_int(budget, "budget", 1),
-        cma_window=check_int(cma_window, "cma_window", 2),
-        cma_epsilon=float(cma_epsilon),
-    )
 
-
-@dataclass
-class RunConfig:
-    """Validated contents of a config.json."""
-
-    model: Path
-    dataset: Path
-    mode: str
-    target: object  # "all", layer index list, or op-kind list
-    fault: str
+    mode: str  # "op" | "layer"
+    targets: object  # "all", layer index list, or op-kind list
     probabilities: list[float]
-    trials: int
-    metric: str
-    seed: int
-    out_dir: Path
+    fault: str = "bit_flip_random"
     bit: int | None = None
+    trials: int = DEFAULT_TRIALS
+    metric: str = "golden_run"  # "ground_truth" | "golden_run"
+    seed: int = 0
+    out_dir: Path | None = None
     budget: int = DEFAULT_BUDGET
     cma_window: int = DEFAULT_CMA_WINDOW
     cma_epsilon: float = DEFAULT_CMA_EPSILON
 
+    def __post_init__(self):
+        check_mode(self.mode)
+        if self.metric not in ("ground_truth", "golden_run"):
+            raise ValidationError(f"metric must be 'ground_truth' or 'golden_run', got {self.metric!r}")
+        if self.targets != "all":
+            targets = list(self.targets) if isinstance(self.targets, (list, tuple)) else [self.targets]
+            if self.mode == "op":
+                targets = list(check_op_kinds(targets))
+            elif not targets:
+                raise ValidationError("layer-wise target must name at least one layer")
+            else:
+                targets = [check_int(t, "layer target", 0) for t in targets]
+            self.targets = targets
+        if not isinstance(self.probabilities, (list, tuple)) or not self.probabilities:
+            raise ValidationError(
+                f"probabilities must be a list with at least one probability, got {self.probabilities!r}"
+            )
+        eps = self.cma_epsilon
+        if not isinstance(eps, numbers.Real) or isinstance(eps, bool) or not eps > 0:
+            raise ValidationError(f"cma_epsilon must be a positive number, got {eps!r}")
+        self.probabilities = sorted({check_probability(p) for p in self.probabilities})
+        self.bit = check_fault(self.fault, self.bit)
+        self.trials = check_int(self.trials, "trials", 1)
+        self.seed = check_u64(self.seed, "seed")
+        self.budget = check_int(self.budget, "budget", 1)
+        self.cma_window = check_int(self.cma_window, "cma_window", 2)
+        self.cma_epsilon = float(eps)
+
+
+@dataclass
+class RunConfig:
+    """A loaded config.json: the input paths and the checked campaign."""
+
+    model: Path
+    dataset: Path
+    spec: CampaignSpec
+
 
 def load_config(path) -> RunConfig:
-    """Load a run configuration and check it with check_campaign."""
+    """Load a run configuration; CampaignSpec checks the campaign parameters."""
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
@@ -376,12 +379,12 @@ def load_config(path) -> RunConfig:
         cma_epsilon=doc.get("cma_epsilon", DEFAULT_CMA_EPSILON),
     )
     base = path.parent
-    paths = {name: base / _require(doc, name, where) for name in ("model", "dataset", "out_dir")}
+    model, dataset, out_dir = (base / _require(doc, name, where) for name in ("model", "dataset", "out_dir"))
     try:
-        fields = check_campaign(**fields)
+        spec = CampaignSpec(out_dir=out_dir, **fields)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
-    return RunConfig(target=fields.pop("targets"), **fields, **paths)
+    return RunConfig(model=model, dataset=dataset, spec=spec)
 
 
 def save_config(doc: dict, path) -> None:

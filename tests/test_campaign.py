@@ -24,14 +24,14 @@ from bitstorm.campaign import (
     run_stochastic,
 )
 from bitstorm.errors import ValidationError
-from bitstorm.executor import PredictionSet, golden_run
+from bitstorm.executor import golden_run
 from bitstorm.model_io import Dataset
 
 F = np.float32
 
 
 def _preds(values):
-    return PredictionSet(np.asarray(values, dtype=np.int64), "injected", "x")
+    return np.asarray(values, dtype=np.int64)
 
 
 def _small(dataset, count):
@@ -405,5 +405,5 @@ class TestCacheReuse:
         monkeypatch.setattr(camp, "golden_run", None)  # layer mode never calls it
         for _ in range(2):  # built, then reused
             result = run_stochastic(spec, model, small, workers=1, cache_root=tmp_path)
-            assert np.array_equal(result.golden.predictions, want.predictions)
+            assert np.array_equal(result.golden, want)
             assert result.reference_accuracy == accuracy(want, small.labels.astype(np.int64))

@@ -103,6 +103,22 @@ class TestCache:
         config = _write_config(tmp_path / "config.json", toy_dir, target=[3], out_dir=str(tmp_path / "c"))
         assert main(["cache", "--config", str(config), "--budget", "64"]) == EXIT_RESOURCE
 
+    def test_budget_override_sets_samples_per_chunk(self, toy_dir, tmp_path):
+        # layer 3 outputs [8, 8, 8]: 2048 bytes a sample, so the budget holds 3 samples a chunk
+        ds = load_dataset(toy_dir / "dataset")
+        small = Dataset(samples=ds.samples[:10], labels=ds.labels[:10], class_count=ds.class_count)
+        save_dataset(small, tmp_path / "ds10")
+        config = _write_config(tmp_path / "config.json", toy_dir, dataset=str(tmp_path / "ds10"),
+                               target=[3], out_dir=str(tmp_path / "c"))
+        per_sample = 512 * 4
+        budget = 3 * per_sample + 7
+        assert main(["cache", "--config", str(config), "--budget", str(budget)]) == EXIT_OK
+        cache_dir = tmp_path / "c" / "caches" / "cache_layer_3"
+        assert sorted(p.name for p in cache_dir.glob("chunk_*")) == [f"chunk_{k}.bin" for k in range(4)]
+        assert [(cache_dir / f"chunk_{k}.bin").stat().st_size for k in range(4)] == [3 * per_sample] * 3 + [per_sample]
+        manifest = json.loads((cache_dir / "cache_manifest.json").read_text())
+        assert manifest["samples_per_chunk"] == 3 and manifest["budget"] == budget
+
     def test_opwise_config_is_usage_error(self, toy_dir, tmp_path):
         config = _write_config(tmp_path / "config.json", toy_dir, mode="op", target=["Add"],
                                out_dir=str(tmp_path / "c"))
@@ -143,6 +159,16 @@ class TestCampaign:
         assert main(["campaign", "--config", str(config), "--trials", "2"]) == EXIT_OK
         summary = json.loads((tmp_path / "r" / "summary.json").read_text())
         assert summary["cells"][0]["trials"] == 2
+
+    def test_out_override_replaces_config_out_dir(self, toy_dir, tmp_path):
+        config = _write_config(tmp_path / "config.json", toy_dir, probabilities=[1.0], trials=2,
+                               out_dir=str(tmp_path / "r"))
+        out = tmp_path / "elsewhere"
+        assert main(["campaign", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        for name in ("summary.json", "accuracy.csv", "cma.csv", "records.csv", "layers.csv", "run.log"):
+            assert (out / name).is_file(), name
+        assert (out / "caches" / "cache_layer_2" / "cache_manifest.json").is_file()
+        assert not (tmp_path / "r").exists()
 
     def test_opwise_campaign_on_prelu_toy(self, tmp_path):
         out = tmp_path / "prelu"

@@ -34,8 +34,7 @@ class TestGoldenRun:
         model, dataset = toy
         a = golden_run(model, dataset)
         b = golden_run(model, dataset)
-        assert np.array_equal(a.predictions, b.predictions)
-        assert a.provenance == "golden"
+        assert np.array_equal(a, b)
 
     def test_self_accuracy_is_one(self, toy):
         model, dataset = toy
@@ -132,7 +131,7 @@ class TestLayerwiseInjection:
         cache = build_cache(model, dataset, 4, 1 << 26, tmp_path / "c")
         spec = FaultSpec(mode="layer", target=4, fault="bit_flip_random", probability=0.0, seed=21)
         preds, records = run_injected_layerwise(model, cache, spec, trial=0)
-        assert np.array_equal(preds.predictions, golden.predictions)
+        assert np.array_equal(preds, golden)
         assert records.size == 0
 
     def test_probability_one_gives_one_record_per_sample(self, toy, tmp_path):
@@ -159,7 +158,7 @@ class TestLayerwiseInjection:
         spec = FaultSpec(mode="layer", target=2, fault="bit_flip_random", probability=1.0, seed=24)
         a, recs_a = run_injected_layerwise(model, cache, spec, trial=1)
         b, recs_b = run_injected_layerwise(model, cache, spec, trial=1, chunks=list(cache.iter_chunks()))
-        assert np.array_equal(a.predictions, b.predictions)
+        assert np.array_equal(a, b)
         assert np.array_equal(recs_a, recs_b)
 
     def test_sign_flip_of_top_logit_changes_prediction(self, toy):
@@ -179,7 +178,7 @@ class TestOpwiseInjection:
         golden = golden_run(model, dataset)
         spec = FaultSpec(mode="op", target=("Add",), fault="bit_flip_random", probability=0.0, seed=31)
         preds, records = run_injected_opwise(expanded, dataset, spec, trial=0)
-        assert np.array_equal(preds.predictions, golden.predictions)
+        assert np.array_equal(preds, golden)
         assert records.size == 0
 
     def test_probability_one_record_count(self, toy_prelu):
@@ -294,7 +293,7 @@ class TestOnePass:
 
     def test_stored_golden_equals_golden_run(self, toy, toy_caches):
         model, dataset = toy
-        golden = golden_run(model, dataset).predictions
+        golden = golden_run(model, dataset)
         for caches in toy_caches.values():
             for layer, cache in caches.items():
                 assert np.array_equal(cache.golden, golden), f"layer {layer}"
@@ -343,7 +342,7 @@ class TestCacheKey:
         assert load_cache(tmp_path / "cache_layer_5").key == second.key
         fresh = build_cache(model, subset, 5, budget, tmp_path / "fresh")
         assert _chunk_bytes(second) == _chunk_bytes(fresh)
-        assert np.array_equal(second.golden, golden_run(model, subset).predictions)
+        assert np.array_equal(second.golden, golden_run(model, subset))
 
 
 class TestCrashSafety:
@@ -371,7 +370,7 @@ class TestCrashSafety:
         model, subset, budget, cache, original = self._built(toy, tmp_path)
         (cache.directory / GOLDEN_FILE).unlink()
         rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
-        assert np.array_equal(rebuilt.golden, golden_run(model, subset).predictions)
+        assert np.array_equal(rebuilt.golden, golden_run(model, subset))
         assert _chunk_bytes(rebuilt) == original
 
     def test_crash_mid_build_leaves_no_manifest(self, toy, tmp_path, monkeypatch):
@@ -426,7 +425,7 @@ class TestRowSkipping:
         want_preds, want_records = _full_recompute(model, cache, spec, trial)
         for chunks in (None, list(cache.iter_chunks())):
             preds, records = run_injected_layerwise(model, cache, spec, trial, chunks=chunks)
-            assert np.array_equal(preds.predictions, want_preds)
+            assert np.array_equal(preds, want_preds)
             assert np.array_equal(records, want_records)
 
     def test_spill_budgets_spill(self, toy_caches, relu_caches):
@@ -454,4 +453,4 @@ class TestRowSkipping:
         if fault == "zero":
             assert 0 < changed < records.size  # zeroing a zero ReLU output changes nothing
         want, _ = _full_recompute(model, cache, spec, 0)
-        assert np.array_equal(preds.predictions, want)
+        assert np.array_equal(preds, want)

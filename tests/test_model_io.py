@@ -1,5 +1,6 @@
 """Serialization tests: round-trip stability and validation diagnostics."""
 
+import dataclasses
 import json
 
 import numpy as np
@@ -9,7 +10,9 @@ from conftest import assert_bits_equal
 from bitstorm.engine import Dense, Model
 from bitstorm.errors import ValidationError
 from bitstorm.model_io import (
+    CampaignSpec,
     Dataset,
+    RunConfig,
     load_config,
     load_dataset,
     load_model,
@@ -191,9 +194,21 @@ class TestConfig:
     def test_valid_config(self, tmp_path):
         save_config(_config_doc(), tmp_path / "config.json")
         cfg = load_config(tmp_path / "config.json")
-        assert cfg.mode == "layer" and cfg.target == [0]
-        assert cfg.probabilities == [0.0, 0.5, 1.0]
-        assert cfg.out_dir == tmp_path / "results"
+        assert cfg.spec.mode == "layer" and cfg.spec.targets == [0]
+        assert cfg.spec.probabilities == [0.0, 0.5, 1.0]
+        assert cfg.spec.out_dir == tmp_path / "results"
+
+    def test_spec_equals_direct_construction(self, tmp_path):
+        doc = _config_doc(target=[3, 1], probabilities=[1.0, 0.25, 1.0], fault="bit_flip_specific", bit=30,
+                          metric="ground_truth", budget=4096, cma_window=5, cma_epsilon=1)
+        save_config(doc, tmp_path / "config.json")
+        cfg = load_config(tmp_path / "config.json")
+        assert [f.name for f in dataclasses.fields(RunConfig)] == ["model", "dataset", "spec"]
+        assert (cfg.model, cfg.dataset) == (tmp_path / "model.json", tmp_path / "dataset")
+        assert cfg.spec == CampaignSpec(mode="layer", targets=[3, 1], probabilities=[1.0, 0.25, 1.0],
+                                        fault="bit_flip_specific", bit=30, trials=5, metric="ground_truth", seed=1,
+                                        out_dir=tmp_path / "results", budget=4096, cma_window=5, cma_epsilon=1)
+        assert cfg.spec.probabilities == [0.25, 1.0] and isinstance(cfg.spec.cma_epsilon, float)
 
     def test_probability_out_of_range(self, tmp_path):
         save_config(_config_doc(probabilities=[0.5, 1.5]), tmp_path / "config.json")
@@ -202,7 +217,7 @@ class TestConfig:
 
     def test_specific_bit_31_valid(self, tmp_path):
         save_config(_config_doc(fault="bit_flip_specific", bit=31), tmp_path / "config.json")
-        assert load_config(tmp_path / "config.json").bit == 31
+        assert load_config(tmp_path / "config.json").spec.bit == 31
 
     def test_specific_bit_out_of_range(self, tmp_path):
         save_config(_config_doc(fault="bit_flip_specific", bit=32), tmp_path / "config.json")
@@ -212,7 +227,7 @@ class TestConfig:
     def test_op_kind_target_list(self, tmp_path):
         save_config(_config_doc(mode="op", target=["Add", "Sub", "Mul"]), tmp_path / "config.json")
         cfg = load_config(tmp_path / "config.json")
-        assert cfg.target == ["Add", "Sub", "Mul"]
+        assert cfg.spec.targets == ["Add", "Sub", "Mul"]
 
     def test_unknown_fault_kind(self, tmp_path):
         save_config(_config_doc(fault="flip_all_the_bits"), tmp_path / "config.json")
@@ -221,7 +236,7 @@ class TestConfig:
 
     def test_target_all(self, tmp_path):
         save_config(_config_doc(target="all"), tmp_path / "config.json")
-        assert load_config(tmp_path / "config.json").target == "all"
+        assert load_config(tmp_path / "config.json").spec.targets == "all"
 
     def test_trials_validation(self, tmp_path):
         save_config(_config_doc(trials=0), tmp_path / "config.json")

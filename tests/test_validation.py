@@ -11,10 +11,10 @@ import pytest
 import bitstorm.campaign as campaign_mod
 import bitstorm.cli as cli_mod
 import bitstorm.executor as executor_mod
-from bitstorm.campaign import CampaignSpec
+from bitstorm.campaign import CampaignSpec, run_stochastic
 from bitstorm.cli import EXIT_VALIDATION, main
 from bitstorm.errors import ValidationError
-from bitstorm.model_io import load_config, save_config
+from bitstorm.model_io import load_config, load_dataset, load_model, save_config
 from bitstorm.toygen import generate
 
 VALID = dict(mode="layer", targets=[2], probabilities=[0.0, 1.0], fault="bit_flip_random", trials=4,
@@ -103,3 +103,15 @@ def test_cli_overrides_exit_2(argv, toy_dir, tmp_path):
     path = _config(tmp_path / "config.json", toy_dir, VALID)
     assert main([argv[0], "--config", str(path), *argv[1:]]) == EXIT_VALIDATION
     assert not (tmp_path / "results").exists()
+
+
+def test_op_target_absent_from_model_rejected(toy_dir, tmp_path, capsys):
+    """The 12-layer toy CNN has no PReLU, so no Add micro-op to inject into."""
+    params = {**VALID, "mode": "op", "targets": ["Add"]}
+    model = load_model(toy_dir / "model.json")
+    dataset = load_dataset(toy_dir / "dataset", class_count=model.class_count)
+    with pytest.raises(ValidationError, match=r"\['Add'\] do not occur in the model"):
+        run_stochastic(CampaignSpec(**params), model, dataset)
+    path = _config(tmp_path / "config.json", toy_dir, params)
+    assert main(["campaign", "--config", str(path)]) == EXIT_VALIDATION
+    assert "do not occur in the model" in capsys.readouterr().err
