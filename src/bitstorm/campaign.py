@@ -6,6 +6,12 @@ probability) cell runs `trials` independent trials, and the cumulative
 moving average of the per-trial accuracies is reported so the trial count
 can be judged sufficient.
 
+Layer-wise, the cells of one target share their random streams: each
+(target, trial) is injected and replayed once, at the largest probability,
+and that one replay yields the trial's accuracy and records at every
+probability (`executor.at_probability`).  A target's cells are appended
+together once all its trials are done.
+
 Trials are embarrassingly parallel.  Results are merged in trial order no
 matter which worker finishes first, so reports are byte-identical at any
 parallelism level.
@@ -26,7 +32,7 @@ import numpy as np
 from . import __version__
 from .engine import INVALID_PREDICTION, Model
 from .errors import ValidationError
-from .executor import golden_run, layer_caches, run_injected_layerwise, run_injected_opwise
+from .executor import at_probability, golden_run, layer_caches, run_injected_layerwise, run_injected_opwise
 from .faults import RECORD_DTYPE, RNG_ALGORITHM, FaultSpec, check_int, records_to_rows
 from .microops import INJECTABLE_KINDS, expand_prelu
 from .model_io import DEFAULT_CMA_EPSILON, DEFAULT_CMA_WINDOW, CampaignSpec, Dataset, replacing
@@ -131,7 +137,9 @@ class CampaignResult:
     partial: bool = False
 
 
-def _make_cell(label: str, kind: str, shape: tuple, probability: float, accuracies: list[float], records, spec: CampaignSpec) -> CellResult:
+def _make_cell(label: str, kind: str, shape: tuple, probability: float, outcomes, spec: CampaignSpec) -> CellResult:
+    """The cell of one (target, probability) from its per-trial (accuracy, records), in trial order."""
+    accuracies = [a for a, _ in outcomes]
     series = cma(accuracies)
     check = check_convergence(series, spec.cma_window, spec.cma_epsilon)
     # mean is defined as the running-sum mean, which the CMA ends on exactly
@@ -149,30 +157,32 @@ def _make_cell(label: str, kind: str, shape: tuple, probability: float, accuraci
         max=max(accuracies),
         converged=check.converged,
         convergence_note=check.note,
-        records=records,
+        records=_concat_records([r for _, r in outcomes]),
     )
 
 
-def resolve_layer_targets(targets, model: Model) -> list[int]:
-    """Layer indices named by checked campaign targets ("all" or a list of indices)."""
-    if targets == "all":
-        return list(range(len(model.layers)))
-    for t in targets:
-        if t >= len(model.layers):
-            raise ValidationError(f"layer target {t} out of range for {len(model.layers)} layers")
-    return targets
+def resolve_targets(spec: CampaignSpec, model: Model) -> list:
+    """The layer indices (layer mode) or op kinds (op mode) that spec.targets names in `model`.
 
-
-def _resolve_op_targets(targets, expanded) -> list[str]:
-    """Op kinds named by checked campaign targets; each must occur in the model."""
-    if targets == "all":
+    Raises ValidationError for a layer past the model's end or an op kind
+    the model does not contain.
+    """
+    if spec.mode == "layer":
+        if spec.targets == "all":
+            return list(range(len(model.layers)))
+        for t in spec.targets:
+            if t >= len(model.layers):
+                raise ValidationError(f"layer target {t} out of range for {len(model.layers)} layers")
+        return spec.targets
+    expanded = expand_prelu(model)
+    if spec.targets == "all":
         present = expanded.kinds_present()
         kinds = [k for k in INJECTABLE_KINDS if k in present]
         if not kinds:
             raise ValidationError("model contains no injectable micro-ops")
         return kinds
-    expanded.require_kinds(targets)
-    return targets
+    expanded.require_kinds(spec.targets)
+    return spec.targets
 
 
 def _worker_count(workers) -> int:
@@ -215,13 +225,12 @@ def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: 
 
 
 def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int, cache_root: Path) -> CampaignResult:
+    targets = resolve_targets(spec, model)
     if spec.mode == "layer":
-        targets = resolve_layer_targets(spec.targets, model)
         caches = layer_caches(model, dataset, targets, spec.budget, cache_root)
         golden = caches[targets[0]].golden
     else:
         expanded = expand_prelu(model)
-        targets = _resolve_op_targets(spec.targets, expanded)
         golden = golden_run(model, dataset)
     if spec.metric == "ground_truth":
         reference = dataset.labels.astype(np.int64)
@@ -238,20 +247,18 @@ def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int,
                 cache = caches[layer]
                 preload = cache.total_bytes <= spec.budget
                 chunks = list(cache.iter_chunks()) if preload else None
-                kind = model.layers[layer].kind
-                shape = model.output_shapes[layer]
-                for p in spec.probabilities:
-                    fault = FaultSpec(mode="layer", target=layer, fault=spec.fault,
-                                      probability=p, seed=spec.seed, bit=spec.bit)
+                fault = FaultSpec(mode="layer", target=layer, fault=spec.fault,
+                                  probability=max(spec.probabilities), seed=spec.seed, bit=spec.bit)
 
-                    def run_one(trial, fault=fault, cache=cache, chunks=chunks):
-                        preds, records = run_injected_layerwise(model, cache, fault, trial, chunks=chunks)
-                        return accuracy(preds, reference), records
+                def run_one(trial, fault=fault, cache=cache, chunks=chunks):
+                    run = run_injected_layerwise(model, cache, fault, trial, chunks=chunks)
+                    derived = (at_probability(cache.golden, *run, p) for p in spec.probabilities)
+                    return [(accuracy(preds, reference), records) for preds, records in derived]
 
-                    outcomes = _run_trials(spec.trials, workers, run_one)
-                    records = _concat_records([r for _, r in outcomes])
-                    cells.append(_make_cell(str(layer), kind, shape, p,
-                                            [a for a, _ in outcomes], records, spec))
+                by_trial = _run_trials(spec.trials, workers, run_one)
+                for p, outcomes in zip(spec.probabilities, zip(*by_trial)):
+                    cells.append(_make_cell(str(layer), model.layers[layer].kind, model.output_shapes[layer],
+                                            p, outcomes, spec))
         else:
             for kind in targets:
                 for p in spec.probabilities:
@@ -262,9 +269,7 @@ def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int,
                         preds, records = run_injected_opwise(expanded, dataset, fault, trial)
                         return accuracy(preds, reference), records
 
-                    outcomes = _run_trials(spec.trials, workers, run_one)
-                    records = _concat_records([r for _, r in outcomes])
-                    cells.append(_make_cell(kind, "", (), p, [a for a, _ in outcomes], records, spec))
+                    cells.append(_make_cell(kind, "", (), p, _run_trials(spec.trials, workers, run_one), spec))
     except BaseException:
         if spec.out_dir is not None and cells:
             result.partial = True

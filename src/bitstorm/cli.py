@@ -32,7 +32,7 @@ from .campaign import (
     SUMMARY_FILE,
     accuracy,
     emit_report,
-    resolve_layer_targets,
+    resolve_targets,
     run_stochastic,
 )
 from .errors import BitstormError, ResourceError, ValidationError
@@ -132,10 +132,10 @@ def cmd_cache(args, console: Console) -> int:
     if spec.mode != "layer":
         raise ValidationError("cache requires a layer-wise config (mode 'layer')")
     model, dataset = _load_inputs(config)
+    targets = resolve_targets(spec, model)
     with _locked(spec.out_dir):
         console.attach(spec.out_dir)
-        caches = layer_caches(model, dataset, resolve_layer_targets(spec.targets, model), spec.budget,
-                              spec.out_dir / "caches")
+        caches = layer_caches(model, dataset, targets, spec.budget, spec.out_dir / "caches")
         total = 0
         for layer, cache in caches.items():
             console.line(
@@ -173,6 +173,7 @@ def cmd_campaign(args, console: Console) -> int:
     config = _apply_overrides(load_config(args.config), args)
     spec = config.spec
     model, dataset = _load_inputs(config)
+    resolve_targets(spec, model)  # a target the model lacks is rejected before out_dir is created
     with _locked(spec.out_dir):
         console.attach(spec.out_dir)
         result = run_stochastic(spec, model, dataset)

@@ -8,11 +8,17 @@ also stores the golden predictions.  A cache is reused only when its
 content key (format version, model, dataset samples, layer and budget)
 matches exactly.
 
-Every trial injects into copies of the cached activations and replays the
-tail only for the rows whose activation a fault actually changed; every
-other row keeps its golden prediction.  This is bit-exact because every
-kernel in `engine` computes each sample from its own row in a fixed order.
-The cache is never mutated by a trial.
+Every trial corrupts copies of the cached rows its fault hit and replays
+the tail only for the rows whose activation the fault actually changed;
+every other row keeps its golden prediction.  This is bit-exact because
+every kernel in `engine` computes each sample from its own row in a fixed
+order.  The cache is never mutated by a trial.
+
+A sample's fault depends on (seed, trial, sample, site) and not on the
+probability, which only decides whether the sample is hit.  So the cells of
+one target share their streams: a campaign replays each (target, trial)
+once, at the largest probability of its sweep, and `at_probability`
+derives every other probability from that one replay, bit for bit.
 
 Operation-wise campaigns run the micro-op expansion end to end and apply
 the fault model to the output of every executed op whose kind is targeted,
@@ -335,27 +341,51 @@ def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec
     corrupted) go through the tail; every other row keeps the golden
     prediction stored in the cache.  `chunks` may carry preloaded (start,
     activations) pairs to avoid re-reading small caches from disk; results
-    are bit-identical either way.
+    are bit-identical either way.  Returns (preds, records, u), where u[i]
+    is the Bernoulli uniform of records[i]; `at_probability` derives from
+    them the trial at any lower probability.
     """
     if spec.mode != "layer":
         raise ValidationError("run_injected_layerwise requires an operation mode of 'layer'")
     if cache.layer != spec.target:
         raise ValidationError(f"cache holds layer {cache.layer} but spec targets layer {spec.target}")
     preds = cache.golden.copy()
-    all_records = []
+    all_records, all_u = [], []
     for start, acts in chunks if chunks is not None else cache.iter_chunks():
         sample_ids = np.arange(start, start + acts.shape[0], dtype=np.uint64)
-        corrupted, records = inject_batch(acts, spec, trial, sample_ids, site=cache.layer)
+        rows, records, u = inject_batch(acts, spec, trial, sample_ids, site=cache.layer)
         if not records.size:
             continue
         all_records.append(records)
-        changed = records["sample"][records["original"] != records["corrupted"]].astype(np.int64)
-        if changed.size < acts.shape[0]:
-            corrupted = corrupted[changed - start]  # releases the full copy before the tail runs
-        if changed.size:
-            preds[changed] = predict_batch(tail_scores_batch(model, cache.layer, corrupted))
-    records = np.concatenate(all_records) if all_records else np.empty(0, dtype=RECORD_DTYPE)
-    return preds, records
+        all_u.append(u)
+        changed = records["original"] != records["corrupted"]
+        if not changed.all():
+            rows = rows[changed]
+        if rows.shape[0]:
+            preds[records["sample"][changed].astype(np.int64)] = predict_batch(
+                tail_scores_batch(model, cache.layer, rows))
+    if not all_records:
+        return preds, np.empty(0, dtype=RECORD_DTYPE), np.empty(0)
+    return preds, np.concatenate(all_records), np.concatenate(all_u)
+
+
+def at_probability(golden: np.ndarray, preds: np.ndarray, records: np.ndarray, u: np.ndarray, probability: float):
+    """The (preds, records) of a layer-wise trial at `probability`, from the same trial at a higher one.
+
+    (preds, records, u) is what run_injected_layerwise returned at the higher
+    probability.  The result is bit-identical to running the trial at
+    `probability`: a sample is hit there iff its u is below it, at the same
+    element with the same material, and the tail computes each row from its
+    own input alone, so a hit row keeps its replayed prediction and every
+    other row takes the golden one.  Records keep their order.
+    """
+    hit = u < probability
+    if hit.all():
+        return preds, records
+    out = golden.copy()
+    samples = records["sample"][hit].astype(np.int64)
+    out[samples] = preds[samples]
+    return out, records[hit]
 
 
 def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, spec: FaultSpec, trial: int):
@@ -371,10 +401,11 @@ def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, spec: FaultSpe
     def hook(op, out):
         if op.kind not in target:
             return out
-        corrupted, records = inject_batch(out, spec, trial, sample_ids, site=op.op_id)
+        rows, records, _ = inject_batch(out, spec, trial, sample_ids, site=op.op_id)
         if records.size:
             all_records.append(records)
-        return corrupted
+            out[records["sample"].astype(np.int64)] = rows  # out is the op's fresh output, unread so far
+        return out
 
     scores = run_microops_batch(expanded, dataset.samples, hook=hook)
     records = np.concatenate(all_records) if all_records else np.empty(0, dtype=RECORD_DTYPE)

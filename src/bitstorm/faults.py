@@ -318,55 +318,56 @@ def maybe_inject(tensor: np.ndarray, spec: FaultSpec, stream: PhiloxStream):
 def inject_batch(acts: np.ndarray, spec: FaultSpec, trial: int, sample_ids: np.ndarray, site: int):
     """Vectorized maybe_inject over a batch of per-sample tensors.
 
-    `acts` has shape (samples, *tensor shape).  Bit-for-bit equivalent to
-    calling maybe_inject with derive_stream(spec.seed, trial, sample, site)
-    per sample, which the test suite pins.  Returns (acts, records); the
-    input array is left untouched and copied only when a fault fires.
+    `acts` has shape (samples, *tensor shape) and is only read.  Bit-for-bit
+    equivalent to calling maybe_inject with derive_stream(spec.seed, trial,
+    sample, site) per sample, which the test suite pins.  Returns (rows,
+    records, u), one entry per sample the fault hit, in sample order:
+    rows[i] is a copy of that sample's tensor with records[i] applied, and
+    u[i] is the Bernoulli uniform that decided the hit.  A sample is hit iff
+    its u is below spec.probability, and its element and material do not
+    depend on the probability: at any lower probability the faults are the
+    records whose u is below it.
     """
-    n_samples = acts.shape[0]
     n_elements = int(np.prod(acts.shape[1:]))
     sample_ids = np.asarray(sample_ids, dtype=np.uint64)
-    counters = np.zeros((n_samples, 4), dtype=np.uint64)
+    counters = np.zeros((acts.shape[0], 4), dtype=np.uint64)
     counters[:, 1] = np.uint64(check_u64(trial, "trial"))
     counters[:, 2] = sample_ids
     counters[:, 3] = np.uint64(check_u64(site, "site"))
     words = philox_block(counters, np.uint64(spec.seed), KEY_SALT)
 
     u = (words[:, 0] >> np.uint64(11)).astype(np.float64) * 2.0**-53
-    hit = u < spec.probability
-    if not hit.any():
-        return acts, np.empty(0, dtype=RECORD_DTYPE)
+    hit = np.nonzero(u < spec.probability)[0]
+    elements = (words[hit, 1] % np.uint64(n_elements)).astype(np.int64)
+    material = words[hit, 2]
 
-    rows = np.nonzero(hit)[0]
-    elements = (words[rows, 1] % np.uint64(n_elements)).astype(np.int64)
-    material = words[rows, 2]
-
-    out = acts.copy()
-    flat = out.reshape(n_samples, n_elements).view(np.uint32)
-    original = flat[rows, elements].astype(np.uint32)
+    rows = np.ascontiguousarray(acts[hit])
+    flat = rows.reshape(hit.size, n_elements).view(np.uint32)
+    at = (np.arange(hit.size), elements)
+    original = flat[at]
     if spec.fault == "zero":
         corrupted = np.zeros_like(original)
-        bits = np.full(rows.size, NO_BIT, dtype=np.int32)
+        bits = np.full(hit.size, NO_BIT, dtype=np.int32)
     elif spec.fault == "random_value":
         corrupted = (material & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        bits = np.full(rows.size, NO_BIT, dtype=np.int32)
+        bits = np.full(hit.size, NO_BIT, dtype=np.int32)
     elif spec.fault == "bit_flip_random":
         bits = (material % np.uint64(32)).astype(np.int32)
         corrupted = original ^ (np.uint32(1) << bits.astype(np.uint32))
     else:  # bit_flip_specific
-        bits = np.full(rows.size, spec.bit, dtype=np.int32)
+        bits = np.full(hit.size, spec.bit, dtype=np.int32)
         corrupted = original ^ np.uint32(1 << spec.bit)
-    flat[rows, elements] = corrupted
+    flat[at] = corrupted
 
-    records = np.empty(rows.size, dtype=RECORD_DTYPE)
+    records = np.empty(hit.size, dtype=RECORD_DTYPE)
     records["trial"] = trial
-    records["sample"] = sample_ids[rows]
+    records["sample"] = sample_ids[hit]
     records["site"] = site
     records["element"] = elements.astype(np.uint64)
     records["bit"] = bits
     records["original"] = original
     records["corrupted"] = corrupted
-    return out, records
+    return rows, records, u[hit]
 
 
 def records_to_rows(records: np.ndarray):

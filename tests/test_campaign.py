@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -220,16 +221,16 @@ class TestRunStochastic:
         assert spec.probabilities == [0.0, 0.5, 1.0]
 
     def test_partial_results_flushed_on_error(self, toy, tmp_path, monkeypatch):
+        """A failure at target 1 flushes every cell of target 0 and none of target 1.
+
+        Cells are appended per target, once all of its trials are done.
+        """
         model, dataset = toy
         small = _small(dataset, 8)
-        out = tmp_path / "partial"
-        spec = CampaignSpec(mode="layer", targets=[0, 1], probabilities=[1.0], trials=3,
-                            metric="golden_run", seed=9, out_dir=out)
 
         import bitstorm.campaign as camp
 
         real = camp.run_injected_layerwise
-        calls = {"n": 0}
 
         def flaky(model, cache, fault, trial, chunks=None):
             if cache.layer == 1:
@@ -237,11 +238,15 @@ class TestRunStochastic:
             return real(model, cache, fault, trial, chunks=chunks)
 
         monkeypatch.setattr(camp, "run_injected_layerwise", flaky)
-        with pytest.raises(RuntimeError, match="simulated"):
-            run_stochastic(spec, model, small, workers=1)
-        summary = json.loads((out / SUMMARY_FILE).read_text())
-        assert summary["partial"] is True
-        assert len(summary["cells"]) == 1
+        for name, probabilities in (("one_p", [1.0]), ("three_p", [0.0, 0.5, 1.0])):
+            out = tmp_path / name
+            spec = CampaignSpec(mode="layer", targets=[0, 1], probabilities=probabilities, trials=3,
+                                metric="golden_run", seed=9, out_dir=out)
+            with pytest.raises(RuntimeError, match="simulated"):
+                run_stochastic(spec, model, small, workers=1)
+            summary = json.loads((out / SUMMARY_FILE).read_text())
+            assert summary["partial"] is True
+            assert [(c["target"], c["probability"]) for c in summary["cells"]] == [("0", p) for p in probabilities]
 
     def test_deterministic_across_workers(self, toy, tmp_path):
         model, dataset = toy
@@ -256,6 +261,38 @@ class TestRunStochastic:
             outputs.append(out)
         for name in (SUMMARY_FILE, ACCURACY_FILE, RECORDS_FILE, CMA_FILE, LAYERS_FILE):
             assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+
+
+class TestProbabilityCoupling:
+    """Layer-wise cells derived from one replay per (target, trial) at the largest probability."""
+
+    @pytest.fixture(scope="class")
+    def sweep(self, toy, tmp_path_factory):
+        """A 24-sample campaign over four probabilities; the caches of targets 0 and 5 spill, 11 fits."""
+        model, dataset = toy
+        small = _small(dataset, 24)
+        spec = CampaignSpec(mode="layer", targets=[0, 5, 11], probabilities=[0.0, 0.2, 0.7, 1.0], trials=6,
+                            fault="bit_flip_random", metric="ground_truth", seed=41, budget=4 * 5184)
+        return model, small, spec, tmp_path_factory.mktemp("coupling_caches")
+
+    def test_each_cell_equals_its_single_probability_campaign(self, sweep):
+        model, small, spec, root = sweep
+        cells = run_stochastic(spec, model, small, workers=1, cache_root=root).cells
+        assert len(cells) == 12
+        for cell in cells:
+            single = replace(spec, targets=[int(cell.target_label)], probabilities=[cell.probability])
+            (want,) = run_stochastic(single, model, small, workers=1, cache_root=root).cells
+            assert cell.accuracies == want.accuracies, (cell.target_label, cell.probability)
+            assert cell.records.dtype == want.records.dtype
+            assert np.array_equal(cell.records, want.records), (cell.target_label, cell.probability)
+
+    def test_reports_identical_at_one_and_three_workers(self, sweep, tmp_path):
+        model, small, spec, root = sweep
+        for workers in (1, 3):
+            out = tmp_path / str(workers)
+            emit_report(run_stochastic(spec, model, small, workers=workers, cache_root=root), out)
+        for name in (SUMMARY_FILE, ACCURACY_FILE, RECORDS_FILE, CMA_FILE, LAYERS_FILE):
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "3" / name).read_bytes(), name
 
 
 class TestRunDeterministic100:

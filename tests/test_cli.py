@@ -182,6 +182,24 @@ class TestCampaign:
         assert summary["cells"][0]["injections"] > 0
 
 
+class TestRejectedTargets:
+    """A target the model lacks exits 2 before out_dir, and so run.log, is created."""
+
+    CASES = {
+        "campaign layer 40 of 12": ("campaign", dict(target=[40]), "out of range"),
+        "cache layer 40 of 12": ("cache", dict(target=[40]), "out of range"),
+        "campaign op Add on the CNN toy": ("campaign", dict(mode="op", target=["Add"]), "do not occur in the model"),
+    }
+
+    @pytest.mark.parametrize("command, overrides, message", CASES.values(), ids=CASES.keys())
+    def test_exits_2_and_creates_no_out_dir(self, toy_dir, tmp_path, capsys, command, overrides, message):
+        out = tmp_path / "r"
+        config = _write_config(tmp_path / "config.json", toy_dir, out_dir=str(out), **overrides)
+        assert main([command, "--config", str(config)]) == EXIT_VALIDATION
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestReport:
     def test_rerenders_existing_summary(self, toy_dir, tmp_path, capsys):
         config = _write_config(tmp_path / "config.json", toy_dir, probabilities=[0.0],

@@ -1,5 +1,6 @@
 """Executor tests: golden runs, split execution, caches, injected runs."""
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -9,6 +10,7 @@ from bitstorm.campaign import accuracy
 from bitstorm.engine import forward_batch, predict, predict_batch, tail_scores_batch
 from bitstorm.errors import ResourceError, ValidationError
 from bitstorm.executor import (
+    at_probability,
     build_cache,
     golden_run,
     load_cache,
@@ -130,7 +132,7 @@ class TestLayerwiseInjection:
         golden = golden_run(model, dataset)
         cache = build_cache(model, dataset, 4, 1 << 26, tmp_path / "c")
         spec = FaultSpec(mode="layer", target=4, fault="bit_flip_random", probability=0.0, seed=21)
-        preds, records = run_injected_layerwise(model, cache, spec, trial=0)
+        preds, records, _ = run_injected_layerwise(model, cache, spec, trial=0)
         assert np.array_equal(preds, golden)
         assert records.size == 0
 
@@ -139,7 +141,7 @@ class TestLayerwiseInjection:
         subset = _small_dataset(dataset, 20)
         cache = build_cache(model, subset, 2, 1 << 26, tmp_path / "c")
         spec = FaultSpec(mode="layer", target=2, fault="bit_flip_random", probability=1.0, seed=22)
-        preds, records = run_injected_layerwise(model, cache, spec, trial=5)
+        preds, records, _ = run_injected_layerwise(model, cache, spec, trial=5)
         assert records.size == 20
         assert np.array_equal(np.sort(records["sample"]), np.arange(20, dtype=np.uint64))
 
@@ -156,8 +158,8 @@ class TestLayerwiseInjection:
         per_sample = int(np.prod(model.output_shapes[2])) * 4
         cache = build_cache(model, subset, 2, per_sample * 5, tmp_path / "c")
         spec = FaultSpec(mode="layer", target=2, fault="bit_flip_random", probability=1.0, seed=24)
-        a, recs_a = run_injected_layerwise(model, cache, spec, trial=1)
-        b, recs_b = run_injected_layerwise(model, cache, spec, trial=1, chunks=list(cache.iter_chunks()))
+        a, recs_a, _ = run_injected_layerwise(model, cache, spec, trial=1)
+        b, recs_b, _ = run_injected_layerwise(model, cache, spec, trial=1, chunks=list(cache.iter_chunks()))
         assert np.array_equal(a, b)
         assert np.array_equal(recs_a, recs_b)
 
@@ -242,7 +244,7 @@ from hypothesis import strategies as st
 
 from bitstorm.engine import Dense, Flatten, Model, ReLU
 from bitstorm.executor import CACHE_MANIFEST, GOLDEN_FILE, layer_caches
-from bitstorm.faults import FAULT_KINDS, inject_batch
+from bitstorm.faults import FAULT_KINDS, RECORD_DTYPE, inject_batch
 from bitstorm.toygen import build_toy_cnn
 
 #: Spills every layer up to flatten on the 320-sample toy (conv2 holds one
@@ -400,7 +402,9 @@ def _full_recompute(model, cache, spec, trial):
     preds, records = [], []
     for start, acts in cache.iter_chunks():
         ids = np.arange(start, start + acts.shape[0], dtype=np.uint64)
-        corrupted, recs = inject_batch(acts, spec, trial, ids, site=cache.layer)
+        rows, recs, _ = inject_batch(acts, spec, trial, ids, site=cache.layer)
+        corrupted = acts.copy()
+        corrupted[recs["sample"].astype(np.int64) - start] = rows
         preds.append(predict_batch(tail_scores_batch(model, cache.layer, corrupted)))
         records.append(recs)
     return np.concatenate(preds), np.concatenate(records)
@@ -424,7 +428,7 @@ class TestRowSkipping:
                          bit=bit if fault == "bit_flip_specific" else None)
         want_preds, want_records = _full_recompute(model, cache, spec, trial)
         for chunks in (None, list(cache.iter_chunks())):
-            preds, records = run_injected_layerwise(model, cache, spec, trial, chunks=chunks)
+            preds, records, _ = run_injected_layerwise(model, cache, spec, trial, chunks=chunks)
             assert np.array_equal(preds, want_preds)
             assert np.array_equal(records, want_records)
 
@@ -446,7 +450,7 @@ class TestRowSkipping:
             return real(model, layer, acts)
 
         monkeypatch.setattr(executor_mod, "tail_scores_batch", counting)
-        preds, records = run_injected_layerwise(model, cache, spec, trial=0)
+        preds, records, _ = run_injected_layerwise(model, cache, spec, trial=0)
         changed = int(np.count_nonzero(records["original"] != records["corrupted"]))
         assert records.size == cache.sample_count
         assert sum(replayed) == changed and all(n > 0 for n in replayed)
@@ -454,3 +458,35 @@ class TestRowSkipping:
             assert 0 < changed < records.size  # zeroing a zero ReLU output changes nothing
         want, _ = _full_recompute(model, cache, spec, 0)
         assert np.array_equal(preds, want)
+
+
+class TestProbabilityCoupling:
+    """One replay at the largest probability yields the trial at every lower one."""
+
+    @given(which=st.sampled_from(["toy", "relu"]), seed=st.integers(0, 2**64 - 1), trial=st.integers(0, 10**6),
+           layer=st.integers(0, 11), fault=st.sampled_from(FAULT_KINDS), bit=st.integers(0, 31),
+           spill=st.booleans(), ends=st.sampled_from([(), (0.0,), (1.0,), (0.0, 1.0)]),
+           inner=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4))
+    @settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_derived_runs_equal_per_probability_runs(self, toy, toy_caches, relu_caches, which, seed, trial,
+                                                      layer, fault, bit, spill, ends, inner):
+        if which == "toy":
+            model, caches = toy[0], toy_caches[SPILL_BUDGET if spill else NO_SPILL_BUDGET]
+        else:
+            model, by_budget = relu_caches
+            caches = by_budget[200 if spill else NO_SPILL_BUDGET]
+        layer %= len(model.layers)
+        cache = caches[layer]
+        probabilities = sorted({*inner, *ends})
+        top = FaultSpec(mode="layer", target=layer, fault=fault, probability=probabilities[-1], seed=seed,
+                        bit=bit if fault == "bit_flip_specific" else None)
+        run = run_injected_layerwise(model, cache, top, trial)
+        for p in probabilities:
+            want_preds, want_records, want_u = run_injected_layerwise(
+                model, cache, dataclasses.replace(top, probability=p), trial)
+            preds, records = at_probability(cache.golden, *run, p)
+            assert np.array_equal(preds, want_preds), p
+            assert records.dtype == RECORD_DTYPE and records.shape == want_records.shape, p
+            for field in RECORD_DTYPE.names:
+                assert np.array_equal(records[field], want_records[field]), (p, field)
+            assert (want_u < p).all()

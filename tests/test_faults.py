@@ -209,7 +209,9 @@ class TestInjectBatch:
         spec = FaultSpec(mode="layer", target=4, fault=fault, probability=0.7, seed=31, bit=bit)
         rng = np.random.default_rng(9)
         acts = rng.normal(size=(33, 5, 2)).astype(F)
-        batch_out, batch_recs = inject_batch(acts, spec, trial=3, sample_ids=np.arange(33), site=4)
+        rows, batch_recs, u = inject_batch(acts, spec, trial=3, sample_ids=np.arange(33), site=4)
+        batch_out = acts.copy()
+        batch_out[batch_recs["sample"].astype(np.int64)] = rows
         singles = []
         scalar_recs = []
         for s in range(33):
@@ -217,6 +219,8 @@ class TestInjectBatch:
             singles.append(out)
             scalar_recs.extend(recs)
         assert_bits_equal(batch_out, np.stack(singles))
+        assert rows.shape == (len(batch_recs), 5, 2)
+        assert u.tolist() == [derive_stream(31, 3, int(s), 4).uniform() for s in batch_recs["sample"]]
         assert len(scalar_recs) == len(batch_recs)
         for left, right in zip(scalar_recs, batch_recs):
             assert (left.trial, left.sample, left.site, left.element, left.bit,
@@ -229,13 +233,14 @@ class TestInjectBatch:
         spec = FaultSpec(mode="layer", target=0, fault="bit_flip_random", probability=1.0, seed=12)
         acts = np.ones((8, 16), dtype=F)
         before = acts.copy()
+        acts.flags.writeable = False  # cache chunks are read-only buffers
         inject_batch(acts, spec, trial=0, sample_ids=np.arange(8), site=0)
         assert_bits_equal(acts, before)
 
     def test_csv_rows(self):
         spec = FaultSpec(mode="layer", target=0, fault="bit_flip_specific", probability=1.0, seed=13, bit=31)
         acts = np.ones((2, 4), dtype=F)
-        _, recs = inject_batch(acts, spec, trial=1, sample_ids=np.arange(2), site=0)
+        _, recs, _ = inject_batch(acts, spec, trial=1, sample_ids=np.arange(2), site=0)
         rows = list(records_to_rows(recs))
         assert len(rows) == 2
         assert rows[0].split(",")[4] == "31"
