@@ -12,6 +12,12 @@ and that one replay yields the trial's accuracy and records at every
 probability (`executor.at_probability`).  A target's cells are appended
 together once all its trials are done.
 
+Operation-wise, each trial replays only the samples its faults hit, from
+the golden input of their first hit layer, in chunks within the budget;
+the words of each (trial, site) are drawn once.  Both modes read their
+golden predictions and layer inputs from one store (`executor.layer_caches`)
+and never run a separate golden pass.
+
 Trials are embarrassingly parallel.  Results are merged in trial order no
 matter which worker finishes first, so reports are byte-identical at any
 parallelism level.
@@ -32,7 +38,7 @@ import numpy as np
 from . import __version__
 from .engine import INVALID_PREDICTION, Model
 from .errors import ValidationError
-from .executor import at_probability, golden_run, layer_caches, run_injected_layerwise, run_injected_opwise
+from .executor import at_probability, boundary_layers, layer_caches, run_injected_layerwise, run_injected_opwise
 from .faults import RECORD_DTYPE, RNG_ALGORITHM, FaultSpec, check_int, records_to_rows
 from .microops import INJECTABLE_KINDS, expand_prelu
 from .model_io import DEFAULT_CMA_EPSILON, DEFAULT_CMA_WINDOW, CampaignSpec, Dataset, replacing
@@ -204,8 +210,10 @@ def _run_trials(trials: int, workers: int, run_one):
 def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int | None = None, cache_root=None) -> CampaignResult:
     """Run the full sweep: every target, every probability, `trials` trials.
 
-    Layer-wise, the golden predictions come from the pass that builds the
-    targets' caches (or from the caches themselves when all are reused).
+    The golden predictions come from the pass that builds the store of
+    layer outputs the trials read (or from the store itself when it is
+    reused): each target layer's output layer-wise, the input of each
+    layer holding a targeted op op-wise.
     On an error mid-campaign, the cells completed so far are flushed to
     spec.out_dir (when set) before the exception propagates.
     """
@@ -227,11 +235,12 @@ def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: 
 def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int, cache_root: Path) -> CampaignResult:
     targets = resolve_targets(spec, model)
     if spec.mode == "layer":
-        caches = layer_caches(model, dataset, targets, spec.budget, cache_root)
-        golden = caches[targets[0]].golden
+        layers = targets
     else:
         expanded = expand_prelu(model)
-        golden = golden_run(model, dataset)
+        layers = boundary_layers(expanded, targets)
+    caches = layer_caches(model, dataset, layers, spec.budget, cache_root)
+    golden = caches[layers[0]].golden
     if spec.metric == "ground_truth":
         reference = dataset.labels.astype(np.int64)
         reference_accuracy = accuracy(golden, reference)
@@ -266,7 +275,7 @@ def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int,
                                       probability=p, seed=spec.seed, bit=spec.bit)
 
                     def run_one(trial, fault=fault):
-                        preds, records = run_injected_opwise(expanded, dataset, fault, trial)
+                        preds, records = run_injected_opwise(expanded, dataset, caches, fault, trial)
                         return accuracy(preds, reference), records
 
                     cells.append(_make_cell(kind, "", (), p, _run_trials(spec.trials, workers, run_one), spec))

@@ -20,9 +20,14 @@ one target share their streams: a campaign replays each (target, trial)
 once, at the largest probability of its sweep, and `at_probability`
 derives every other probability from that one replay, bit for bit.
 
-Operation-wise campaigns run the micro-op expansion end to end and apply
-the fault model to the output of every executed op whose kind is targeted,
-so several faults may land during a single inference.
+Operation-wise campaigns apply the fault model to the output of every
+executed micro-op whose kind is targeted, so several faults may land during
+a single inference.  They read the same store, at the output of the layer
+before each layer that holds a site.  A trial draws the words of each
+(trial, site) once, for all samples, which tells it before any pass which
+samples a fault hits and in which layer first.  A sample no fault hits keeps
+its golden prediction; every other one replays the micro-ops from the
+golden input of its first hit layer, in chunks within the memory budget.
 """
 
 from __future__ import annotations
@@ -40,7 +45,7 @@ from . import engine
 from .engine import Model, forward_batch, forward_layer_batch, predict_batch, tail_scores_batch
 from .engine import head_batch  # noqa: F401  kept in this namespace: perfbench/test_selfcheck.py traces it here
 from .errors import ResourceError, ValidationError
-from .faults import RECORD_DTYPE, FaultSpec, inject_batch
+from .faults import RECORD_DTYPE, FaultSpec, draw_words, inject_batch, uniforms
 from .microops import MicroOpModel, run_microops_batch
 from .model_io import Dataset, replacing
 
@@ -147,13 +152,14 @@ class ActivationCache:
         start = index * self.samples_per_chunk
         return min(self.samples_per_chunk, self.sample_count - start) * self.bytes_per_sample
 
-    def iter_chunks(self):
+    def iter_chunks(self, indices=None):
         """Yield (start_sample, activations) per chunk in sequential order.
 
+        `indices` limits the read to those chunks (ascending); default all.
         Activation arrays are read-only; trials corrupt copies, never the
         cache.
         """
-        for k in range(self.chunk_count):
+        for k in range(self.chunk_count) if indices is None else indices:
             start = k * self.samples_per_chunk
             raw = self.chunk_path(k).read_bytes()
             expected = self.chunk_bytes(k)
@@ -161,8 +167,8 @@ class ActivationCache:
                 raise ValidationError(
                     f"{self.chunk_path(k)}: {len(raw)} bytes on disk, manifest promises {expected}"
                 )
-            acts = np.frombuffer(raw, dtype="<f4").reshape((-1, *self.shape))
-            yield start, acts
+            yield start, np.frombuffer(raw, dtype="<f4").reshape((-1, *self.shape))
+            del raw  # a caller that lets go of a chunk never holds two
 
     def _write_rows(self, start: int, rows: np.ndarray) -> None:
         """Append the outputs of samples [start, start + len(rows)) to their chunks.
@@ -337,6 +343,7 @@ def layer_caches(model: Model, dataset: Dataset, layers, budget: int, cache_root
 def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec, trial: int, chunks=None):
     """One trial: inject at most once per sample into cached activations.
 
+    The trial's words are drawn once for all samples and sliced per chunk.
     Only rows whose activation the fault changed (a record with original !=
     corrupted) go through the tail; every other row keeps the golden
     prediction stored in the cache.  `chunks` may carry preloaded (start,
@@ -349,11 +356,13 @@ def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec
         raise ValidationError("run_injected_layerwise requires an operation mode of 'layer'")
     if cache.layer != spec.target:
         raise ValidationError(f"cache holds layer {cache.layer} but spec targets layer {spec.target}")
+    sample_ids = np.arange(cache.sample_count, dtype=np.uint64)
+    words = draw_words(spec.seed, trial, sample_ids, cache.layer)
     preds = cache.golden.copy()
     all_records, all_u = [], []
     for start, acts in chunks if chunks is not None else cache.iter_chunks():
-        sample_ids = np.arange(start, start + acts.shape[0], dtype=np.uint64)
-        rows, records, u = inject_batch(acts, spec, trial, sample_ids, site=cache.layer)
+        stop = start + acts.shape[0]
+        rows, records, u = inject_batch(acts, spec, words[start:stop], trial, sample_ids[start:stop], cache.layer)
         if not records.size:
             continue
         all_records.append(records)
@@ -388,25 +397,101 @@ def at_probability(golden: np.ndarray, preds: np.ndarray, records: np.ndarray, u
     return out, records[hit]
 
 
-def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, spec: FaultSpec, trial: int):
-    """One trial: apply the fault model to every targeted op execution."""
+def boundary_layers(expanded: MicroOpModel, kinds) -> list:
+    """The layers whose golden outputs op-wise trials over `kinds` replay from.
+
+    A sample first hit in layer L > 0 starts from the output of layer L - 1;
+    one first hit in layer 0 starts from the dataset.  When every site sits
+    in layer 0, the last layer is named instead, so that the store still
+    holds the golden predictions.
+    """
+    layers = {op.layer_index - 1 for op in expanded.all_ops() if op.kind in kinds and op.layer_index > 0}
+    return sorted(layers) or [len(expanded.model.layers) - 1]
+
+
+def _sample_bytes(expanded: MicroOpModel, layer: int, site_layers) -> int:
+    """Bytes one sample needs while `layer` runs as micro-ops.
+
+    That is its layer input and every micro-op output (each has the layer's
+    output shape), plus the corrupted copy of a site's output in a layer
+    that holds sites.
+    """
+    model = expanded.model
+    outputs = len(expanded.ops_by_layer[layer]) + (layer in site_layers)
+    return 4 * (int(np.prod(model.input_shape_of(layer))) + outputs * int(np.prod(model.output_shapes[layer])))
+
+
+def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, caches: dict, spec: FaultSpec, trial: int):
+    """One trial: apply the fault model to every targeted op execution.
+
+    `caches` is the store `layer_caches` returns for (at least)
+    boundary_layers(expanded, spec.target); its golden predictions and
+    budget are the trial's.  Each site's words are drawn once for all
+    samples before any pass, which gives every sample's first hit layer.  A
+    sample no fault hits keeps its golden prediction, so p = 0 runs no pass.
+    Every other sample replays the micro-ops from the golden input of its
+    first hit layer, in chunks of at most budget // the bytes one sample
+    needs in the widest layer it runs.  This is bit-exact because every
+    kernel computes each sample from its own row, and the micro-op expansion
+    matches the layers it replaces.  Returns (preds, records), records
+    ordered by site and then sample.
+    """
     if spec.mode != "op":
         raise ValidationError("run_injected_opwise requires an operation mode of 'op'")
-    _check_pairing(expanded.model, dataset)
+    model = expanded.model
+    _check_pairing(model, dataset)
     target = set(spec.target)
     expanded.require_kinds(target)
+    boundaries = boundary_layers(expanded, target)
+    missing = [layer for layer in boundaries if layer not in caches]
+    if missing:
+        raise ValidationError(f"the golden store lacks the outputs of layers {missing}")
+    store = caches[boundaries[0]]
+    sites = [op for op in expanded.all_ops() if op.kind in target]
+    site_layers = {op.layer_index for op in sites}
+    need = [_sample_bytes(expanded, layer, site_layers) for layer in range(len(model.layers))]
+    widest = max(need[sites[0].layer_index:])
+    if store.budget < widest:
+        raise ResourceError(f"memory budget {store.budget} bytes is below one sample's micro-op working set "
+                            f"({widest} bytes)")
+
     sample_ids = np.arange(len(dataset), dtype=np.uint64)
-    all_records = []
+    words = {op.op_id: draw_words(spec.seed, trial, sample_ids, op.op_id) for op in sites}
+    first = np.full(len(dataset), len(model.layers))
+    for op in reversed(sites):  # sites run in layer order, so the earliest hit is written last
+        first[uniforms(words[op.op_id]) < spec.probability] = op.layer_index
+
+    preds = store.golden.copy()
+    parts = []
+    batch = None  # the samples of the chunk being replayed, ascending
 
     def hook(op, out):
         if op.kind not in target:
             return out
-        rows, records, _ = inject_batch(out, spec, trial, sample_ids, site=op.op_id)
+        rows, records, _ = inject_batch(out, spec, words[op.op_id][batch], trial, sample_ids[batch], op.op_id)
         if records.size:
-            all_records.append(records)
-            out[records["sample"].astype(np.int64)] = rows  # out is the op's fresh output, unread so far
+            parts.append(records)
+            out[np.searchsorted(batch, records["sample"].astype(np.int64))] = rows  # out is fresh, unread so far
         return out
 
-    scores = run_microops_batch(expanded, dataset.samples, hook=hook)
-    records = np.concatenate(all_records) if all_records else np.empty(0, dtype=RECORD_DTYPE)
-    return predict_batch(scores), records
+    for layer in sorted(site_layers):
+        group = np.nonzero(first == layer)[0]
+        if not group.size:
+            continue
+        rows_per_chunk = store.budget // max(need[layer:])
+        if layer == 0:
+            source = [(0, dataset.samples)]
+        else:
+            cache = caches[layer - 1]
+            source = cache.iter_chunks(np.unique(group // cache.samples_per_chunk))
+        for start, acts in source:
+            lo, hi = np.searchsorted(group, [start, start + acts.shape[0]])
+            for i in range(lo, hi, rows_per_chunk):
+                batch = group[i : min(i + rows_per_chunk, hi)]
+                scores = run_microops_batch(expanded, acts[batch - start], hook=hook, start=layer)
+                preds[batch] = predict_batch(scores)
+            del acts  # before the next store chunk is read
+    if not parts:
+        return preds, np.empty(0, dtype=RECORD_DTYPE)
+    records = np.concatenate(parts)
+    return preds, records[np.lexsort((records["sample"], records["site"]))]

@@ -315,28 +315,42 @@ def maybe_inject(tensor: np.ndarray, spec: FaultSpec, stream: PhiloxStream):
     return tensor, []
 
 
-def inject_batch(acts: np.ndarray, spec: FaultSpec, trial: int, sample_ids: np.ndarray, site: int):
+def draw_words(seed: int, trial: int, sample_ids: np.ndarray, site: int) -> np.ndarray:
+    """Block 0 of the (trial, sample, site) stream of every sample in `sample_ids`.
+
+    Returns a (len(sample_ids), 4) uint64 array, one Philox call for all
+    samples.  Words 0-2 are the draws of `maybe_inject` (uniform, element,
+    material); a trial draws each site's words once and slices them per
+    chunk.
+    """
+    counters = np.zeros((len(sample_ids), 4), dtype=np.uint64)
+    counters[:, 1] = np.uint64(check_u64(trial, "trial"))
+    counters[:, 2] = np.asarray(sample_ids, dtype=np.uint64)
+    counters[:, 3] = np.uint64(check_u64(site, "site"))
+    return philox_block(counters, np.uint64(check_u64(seed, "seed")), KEY_SALT)
+
+
+def uniforms(words: np.ndarray) -> np.ndarray:
+    """The Bernoulli uniform in [0, 1) of each word row: the top 53 bits of word 0."""
+    return (words[:, 0] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+
+
+def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial: int, sample_ids: np.ndarray, site: int):
     """Vectorized maybe_inject over a batch of per-sample tensors.
 
-    `acts` has shape (samples, *tensor shape) and is only read.  Bit-for-bit
-    equivalent to calling maybe_inject with derive_stream(spec.seed, trial,
-    sample, site) per sample, which the test suite pins.  Returns (rows,
-    records, u), one entry per sample the fault hit, in sample order:
-    rows[i] is a copy of that sample's tensor with records[i] applied, and
-    u[i] is the Bernoulli uniform that decided the hit.  A sample is hit iff
-    its u is below spec.probability, and its element and material do not
-    depend on the probability: at any lower probability the faults are the
-    records whose u is below it.
+    `acts` has shape (samples, *tensor shape) and is only read; words[i] is
+    draw_words(spec.seed, trial, sample_ids, site)[i], the stream of the
+    sample in row i.  Bit-for-bit equivalent to calling maybe_inject with
+    derive_stream(spec.seed, trial, sample, site) per sample, which the test
+    suite pins.  Returns (rows, records, u), one entry per sample the fault
+    hit, in row order: rows[i] is a copy of that sample's tensor with
+    records[i] applied, and u[i] is the Bernoulli uniform that decided the
+    hit.  A sample is hit iff its u is below spec.probability, and its
+    element and material do not depend on the probability: at any lower
+    probability the faults are the records whose u is below it.
     """
     n_elements = int(np.prod(acts.shape[1:]))
-    sample_ids = np.asarray(sample_ids, dtype=np.uint64)
-    counters = np.zeros((acts.shape[0], 4), dtype=np.uint64)
-    counters[:, 1] = np.uint64(check_u64(trial, "trial"))
-    counters[:, 2] = sample_ids
-    counters[:, 3] = np.uint64(check_u64(site, "site"))
-    words = philox_block(counters, np.uint64(spec.seed), KEY_SALT)
-
-    u = (words[:, 0] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    u = uniforms(words)
     hit = np.nonzero(u < spec.probability)[0]
     elements = (words[hit, 1] % np.uint64(n_elements)).astype(np.int64)
     material = words[hit, 2]
@@ -361,7 +375,7 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, trial: int, sample_ids: np.n
 
     records = np.empty(hit.size, dtype=RECORD_DTYPE)
     records["trial"] = trial
-    records["sample"] = sample_ids[hit]
+    records["sample"] = np.asarray(sample_ids, dtype=np.uint64)[hit]
     records["site"] = site
     records["element"] = elements.astype(np.uint64)
     records["bit"] = bits

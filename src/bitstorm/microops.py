@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import F32, Layer, Model, PReLU, ReLU, Shape, forward_layer_batch, relu
+from .engine import F32, Layer, Model, PReLU, ReLU, forward_layer_batch, relu
 from .errors import ValidationError
 
 #: Micro-op kinds whose outputs can be selected for operation-wise injection.
@@ -43,10 +43,6 @@ class MicroOpModel:
 
     model: Model
     ops_by_layer: list[list[MicroOp]]
-
-    @property
-    def input_shape(self) -> Shape:
-        return self.model.input_shape
 
     def all_ops(self):
         for ops in self.ops_by_layer:
@@ -129,19 +125,19 @@ def _eval_op(op: MicroOp, values: list[np.ndarray], layer_input: np.ndarray) -> 
     raise ValidationError(f"unknown micro-op kind {op.kind}")
 
 
-def run_microops_batch(expanded: MicroOpModel, x: np.ndarray, hook=None) -> np.ndarray:
-    """Evaluate the expanded model on a batch.
+def run_microops_batch(expanded: MicroOpModel, x: np.ndarray, hook=None, start: int = 0) -> np.ndarray:
+    """Evaluate the expanded model on a batch, from layer `start` on.
 
+    `x` is the batch's input to layer `start` (the model input for 0).
     `hook(op, out)` is called with each micro-op's freshly computed output
     batch and must return the (possibly corrupted) tensor to hand to the
     op's consumers; this is the operation-wise injection point.
     """
     current = np.asarray(x, dtype=F32)
-    if current.shape[1:] != expanded.input_shape:
-        raise ValidationError(
-            f"batch shape {current.shape[1:]} does not match model input {expanded.input_shape}"
-        )
-    for ops in expanded.ops_by_layer:
+    want = expanded.model.input_shape_of(start)
+    if current.shape[1:] != want:
+        raise ValidationError(f"batch shape {current.shape[1:]} does not match the input {want} of layer {start}")
+    for ops in expanded.ops_by_layer[start:]:
         values: list[np.ndarray] = []
         for op in ops:
             out = _eval_op(op, values, current)

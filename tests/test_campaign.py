@@ -2,6 +2,7 @@
 
 import json
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -432,15 +433,33 @@ class TestCacheReuse:
             assert result.cells[0].mean == 1.0, f"toy seed {toy_seed}"
 
     def test_golden_comes_from_the_caches(self, toy, tmp_path, monkeypatch):
-        import bitstorm.campaign as camp
-
         model, dataset = toy
         small = _small(dataset, 24)
         spec = CampaignSpec(mode="layer", targets=[3, 9], probabilities=[0.5], trials=2,
                             metric="ground_truth", seed=4)
         want = golden_run(model, small)
-        monkeypatch.setattr(camp, "golden_run", None)  # layer mode never calls it
+        _forbid_golden_run(monkeypatch)  # layer mode never calls it
         for _ in range(2):  # built, then reused
             result = run_stochastic(spec, model, small, workers=1, cache_root=tmp_path)
             assert np.array_equal(result.golden, want)
             assert result.reference_accuracy == accuracy(want, small.labels.astype(np.int64))
+
+    @pytest.mark.parametrize("targets", [["Add"], "all"])
+    def test_opwise_golden_comes_from_the_store(self, toy_prelu, tmp_path, monkeypatch, targets):
+        model, dataset = toy_prelu
+        spec = CampaignSpec(mode="op", targets=targets, probabilities=[0.0, 0.5], trials=2,
+                            metric="ground_truth", seed=4)
+        want = golden_run(model, dataset)
+        _forbid_golden_run(monkeypatch)  # op mode never calls it either
+        for _ in range(2):  # built, then reused
+            result = run_stochastic(spec, model, dataset, workers=1, cache_root=tmp_path)
+            assert np.array_equal(result.golden, want)
+            assert result.reference_accuracy == accuracy(want, dataset.labels.astype(np.int64))
+            assert [c.mean for c in result.cells[:1]] == [result.reference_accuracy]  # p = 0
+
+
+def _forbid_golden_run(monkeypatch):
+    """Make golden_run uncallable through every bitstorm module that holds it."""
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "bitstorm" and hasattr(module, "golden_run"):
+            monkeypatch.setattr(module, "golden_run", None)

@@ -6,20 +6,23 @@ import hashlib
 import numpy as np
 import pytest
 
+import bitstorm.executor as executor_mod
 from bitstorm.campaign import accuracy
 from bitstorm.engine import forward_batch, predict, predict_batch, tail_scores_batch
 from bitstorm.errors import ResourceError, ValidationError
 from bitstorm.executor import (
     at_probability,
+    boundary_layers,
     build_cache,
     golden_run,
+    layer_caches,
     load_cache,
     run_injected_layerwise,
     run_injected_opwise,
     run_tail,
 )
 from bitstorm.faults import FaultSpec, derive_stream, maybe_inject
-from bitstorm.microops import expand_prelu
+from bitstorm.microops import INJECTABLE_KINDS, expand_prelu
 from bitstorm.model_io import Dataset
 
 F = np.float32
@@ -173,40 +176,65 @@ class TestLayerwiseInjection:
         assert run_tail(model, last, flipped) != run_tail(model, last, scores)
 
 
+@pytest.fixture(scope="module")
+def prelu_store(toy_prelu, tmp_path_factory):
+    """The golden store of every op-wise boundary of the PReLU toy."""
+    model, dataset = toy_prelu
+    expanded = expand_prelu(model)
+    layers = boundary_layers(expanded, INJECTABLE_KINDS)
+    return expanded, layer_caches(model, dataset, layers, 1 << 26, tmp_path_factory.mktemp("prelu_store"))
+
+
 class TestOpwiseInjection:
-    def test_probability_zero_equals_golden(self, toy_prelu):
+    def test_probability_zero_equals_golden(self, toy_prelu, prelu_store, monkeypatch):
         model, dataset = toy_prelu
-        expanded = expand_prelu(model)
+        expanded, caches = prelu_store
         golden = golden_run(model, dataset)
         spec = FaultSpec(mode="op", target=("Add",), fault="bit_flip_random", probability=0.0, seed=31)
-        preds, records = run_injected_opwise(expanded, dataset, spec, trial=0)
+        monkeypatch.setattr(executor_mod, "run_microops_batch", None)  # p = 0 runs no pass
+        preds, records = run_injected_opwise(expanded, dataset, caches, spec, trial=0)
         assert np.array_equal(preds, golden)
         assert records.size == 0
 
-    def test_probability_one_record_count(self, toy_prelu):
-        model, dataset = toy_prelu
-        expanded = expand_prelu(model)
+    def test_probability_one_record_count(self, toy_prelu, prelu_store):
+        _, dataset = toy_prelu
+        expanded, caches = prelu_store
         adds = expanded.count_ops({"Add"})
         spec = FaultSpec(mode="op", target=("Add",), fault="bit_flip_random", probability=1.0, seed=32)
-        _, records = run_injected_opwise(expanded, dataset, spec, trial=1)
+        _, records = run_injected_opwise(expanded, dataset, caches, spec, trial=1)
         assert records.size == adds * len(dataset)
 
-    def test_absent_target_is_an_error(self, toy):
+    def test_absent_target_is_an_error(self, toy, prelu_store):
         model, dataset = toy  # the 12-layer toy has no arithmetic micro-ops
         expanded = expand_prelu(model)
         spec = FaultSpec(mode="op", target=("Add",), fault="zero", probability=0.5, seed=0)
         with pytest.raises(ValidationError, match="Add"):
-            run_injected_opwise(expanded, dataset, spec, trial=0)
+            run_injected_opwise(expanded, dataset, prelu_store[1], spec, trial=0)
 
-    def test_multi_kind_target(self, toy_prelu):
-        model, dataset = toy_prelu
-        expanded = expand_prelu(model)
+    def test_multi_kind_target(self, toy_prelu, prelu_store):
+        _, dataset = toy_prelu
+        expanded, caches = prelu_store
         kinds = {"Add", "Sub", "Mul"}
         count = expanded.count_ops(kinds)
         spec = FaultSpec(mode="op", target=tuple(sorted(kinds)), fault="bit_flip_random", probability=1.0, seed=33)
-        _, records = run_injected_opwise(expanded, dataset, spec, trial=0)
+        _, records = run_injected_opwise(expanded, dataset, caches, spec, trial=0)
         assert records.size == count * len(dataset)
         assert len(set(records["site"].tolist())) == count
+
+    def test_missing_boundary_is_an_error(self, toy_prelu, prelu_store):
+        _, dataset = toy_prelu
+        expanded, caches = prelu_store
+        spec = FaultSpec(mode="op", target=("Add",), fault="zero", probability=0.5, seed=0)
+        with pytest.raises(ValidationError, match="golden store"):
+            run_injected_opwise(expanded, dataset, {0: caches[0]}, spec, trial=0)
+
+    def test_budget_below_one_sample_is_a_resource_error(self, toy_prelu, tmp_path):
+        model, dataset = toy_prelu
+        expanded = expand_prelu(model)
+        caches = layer_caches(model, dataset, boundary_layers(expanded, {"Add"}), 1600, tmp_path)
+        spec = FaultSpec(mode="op", target=("Add",), fault="zero", probability=0.5, seed=0)
+        with pytest.raises(ResourceError, match="micro-op working set"):
+            run_injected_opwise(expanded, dataset, caches, spec, trial=0)
 
 
 class TestPassThroughEquivalence:
@@ -238,13 +266,12 @@ class TestPassThroughEquivalence:
 # One-pass cache building, content keys, crash safety, row skipping
 # ---------------------------------------------------------------------------
 
-import bitstorm.executor as executor_mod
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bitstorm.engine import Dense, Flatten, Model, ReLU
-from bitstorm.executor import CACHE_MANIFEST, GOLDEN_FILE, layer_caches
-from bitstorm.faults import FAULT_KINDS, RECORD_DTYPE, inject_batch
+from bitstorm.executor import CACHE_MANIFEST, GOLDEN_FILE
+from bitstorm.faults import FAULT_KINDS, RECORD_DTYPE, draw_words, inject_batch
 from bitstorm.toygen import build_toy_cnn
 
 #: Spills every layer up to flatten on the 320-sample toy (conv2 holds one
@@ -402,7 +429,8 @@ def _full_recompute(model, cache, spec, trial):
     preds, records = [], []
     for start, acts in cache.iter_chunks():
         ids = np.arange(start, start + acts.shape[0], dtype=np.uint64)
-        rows, recs, _ = inject_batch(acts, spec, trial, ids, site=cache.layer)
+        words = draw_words(spec.seed, trial, ids, cache.layer)
+        rows, recs, _ = inject_batch(acts, spec, words, trial, ids, site=cache.layer)
         corrupted = acts.copy()
         corrupted[recs["sample"].astype(np.int64) - start] = rows
         preds.append(predict_batch(tail_scores_batch(model, cache.layer, corrupted)))

@@ -14,6 +14,7 @@ from bitstorm.faults import (
     RECORD_DTYPE,
     corrupt_element,
     derive_stream,
+    draw_words,
     flip_bit,
     inject_batch,
     maybe_inject,
@@ -209,7 +210,8 @@ class TestInjectBatch:
         spec = FaultSpec(mode="layer", target=4, fault=fault, probability=0.7, seed=31, bit=bit)
         rng = np.random.default_rng(9)
         acts = rng.normal(size=(33, 5, 2)).astype(F)
-        rows, batch_recs, u = inject_batch(acts, spec, trial=3, sample_ids=np.arange(33), site=4)
+        rows, batch_recs, u = inject_batch(acts, spec, draw_words(31, 3, np.arange(33), 4), trial=3,
+                                          sample_ids=np.arange(33), site=4)
         batch_out = acts.copy()
         batch_out[batch_recs["sample"].astype(np.int64)] = rows
         singles = []
@@ -229,18 +231,29 @@ class TestInjectBatch:
                 int(right["element"]), int(right["bit"]),
                 int(right["original"]), int(right["corrupted"]))
 
+    def test_draw_words_are_each_streams_first_words(self):
+        ids = np.array([0, 5, 6, 1000, 2**40], dtype=np.uint64)
+        words = draw_words(77, 9, ids, 12)
+        assert words.shape == (5, 4)
+        for row, sample in zip(words, ids):
+            stream = derive_stream(77, 9, int(sample), 12)
+            assert row[:3].tolist() == [stream.next_u64() for _ in range(3)]
+        # one draw over all samples, sliced, equals a draw per chunk
+        assert np.array_equal(draw_words(77, 9, ids, 12)[1:3], draw_words(77, 9, ids[1:3], 12))
+
     def test_input_array_never_mutated(self):
         spec = FaultSpec(mode="layer", target=0, fault="bit_flip_random", probability=1.0, seed=12)
         acts = np.ones((8, 16), dtype=F)
         before = acts.copy()
         acts.flags.writeable = False  # cache chunks are read-only buffers
-        inject_batch(acts, spec, trial=0, sample_ids=np.arange(8), site=0)
+        inject_batch(acts, spec, draw_words(12, 0, np.arange(8), 0), trial=0, sample_ids=np.arange(8), site=0)
         assert_bits_equal(acts, before)
 
     def test_csv_rows(self):
         spec = FaultSpec(mode="layer", target=0, fault="bit_flip_specific", probability=1.0, seed=13, bit=31)
         acts = np.ones((2, 4), dtype=F)
-        _, recs, _ = inject_batch(acts, spec, trial=1, sample_ids=np.arange(2), site=0)
+        _, recs, _ = inject_batch(acts, spec, draw_words(13, 1, np.arange(2), 0), trial=1,
+                                  sample_ids=np.arange(2), site=0)
         rows = list(records_to_rows(recs))
         assert len(rows) == 2
         assert rows[0].split(",")[4] == "31"
