@@ -254,13 +254,11 @@ def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int,
         if spec.mode == "layer":
             for layer in targets:
                 cache = caches[layer]
-                preload = cache.total_bytes <= spec.budget
-                chunks = list(cache.iter_chunks()) if preload else None
                 fault = FaultSpec(mode="layer", target=layer, fault=spec.fault,
                                   probability=max(spec.probabilities), seed=spec.seed, bit=spec.bit)
 
-                def run_one(trial, fault=fault, cache=cache, chunks=chunks):
-                    run = run_injected_layerwise(model, cache, fault, trial, chunks=chunks)
+                def run_one(trial, fault=fault, cache=cache):
+                    run = run_injected_layerwise(model, cache, fault, trial)
                     derived = (at_probability(cache.golden, *run, p) for p in spec.probabilities)
                     return [(accuracy(preds, reference), records) for preds, records in derived]
 

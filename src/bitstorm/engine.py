@@ -36,14 +36,6 @@ F32 = np.float32
 INVALID_PREDICTION = -1
 
 
-def as_f32(values, shape=None) -> np.ndarray:
-    """Return a C-contiguous float32 array, optionally reshaped."""
-    arr = np.ascontiguousarray(values, dtype=F32)
-    if shape is not None:
-        arr = arr.reshape(shape)
-    return arr
-
-
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr = np.ascontiguousarray(arr, dtype=F32)
     arr.flags.writeable = False
@@ -211,8 +203,6 @@ class Dropout:
 
 Layer = Union[Conv2D, MaxPool2D, Dense, ReLU, PReLU, Softmax, Flatten, Dropout]
 
-LAYER_KINDS = {cls.kind: cls for cls in (Conv2D, MaxPool2D, Dense, ReLU, PReLU, Softmax, Flatten, Dropout)}
-
 
 @dataclass(eq=False)
 class Model:
@@ -289,16 +279,6 @@ def softmax(x: np.ndarray) -> np.ndarray:
     for i in range(1, e.shape[-1]):
         np.add(total, e[..., i], out=total)
     return e / total[..., None]
-
-
-def flatten(x: np.ndarray) -> np.ndarray:
-    """Rank-1 view of the row-major data; bit-identical sequence."""
-    return np.ascontiguousarray(x).reshape(-1)
-
-
-def dropout_inference(x: np.ndarray) -> np.ndarray:
-    """Inference-mode dropout: bit-identical pass-through."""
-    return x
 
 
 # ---------------------------------------------------------------------------

@@ -340,15 +340,13 @@ def layer_caches(model: Model, dataset: Dataset, layers, budget: int, cache_root
 # ---------------------------------------------------------------------------
 
 
-def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec, trial: int, chunks=None):
+def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec, trial: int):
     """One trial: inject at most once per sample into cached activations.
 
     The trial's words are drawn once for all samples and sliced per chunk.
     Only rows whose activation the fault changed (a record with original !=
     corrupted) go through the tail; every other row keeps the golden
-    prediction stored in the cache.  `chunks` may carry preloaded (start,
-    activations) pairs to avoid re-reading small caches from disk; results
-    are bit-identical either way.  Returns (preds, records, u), where u[i]
+    prediction stored in the cache.  Returns (preds, records, u), where u[i]
     is the Bernoulli uniform of records[i]; `at_probability` derives from
     them the trial at any lower probability.
     """
@@ -360,19 +358,20 @@ def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec
     words = draw_words(spec.seed, trial, sample_ids, cache.layer)
     preds = cache.golden.copy()
     all_records, all_u = [], []
-    for start, acts in chunks if chunks is not None else cache.iter_chunks():
+    for start, acts in cache.iter_chunks():
         stop = start + acts.shape[0]
         rows, records, u = inject_batch(acts, spec, words[start:stop], trial, sample_ids[start:stop], cache.layer)
-        if not records.size:
-            continue
-        all_records.append(records)
-        all_u.append(u)
-        changed = records["original"] != records["corrupted"]
-        if not changed.all():
-            rows = rows[changed]
-        if rows.shape[0]:
-            preds[records["sample"][changed].astype(np.int64)] = predict_batch(
-                tail_scores_batch(model, cache.layer, rows))
+        del acts  # rows holds copies of the hit rows
+        if records.size:
+            all_records.append(records)
+            all_u.append(u)
+            changed = records["original"] != records["corrupted"]
+            if not changed.all():
+                rows = rows[changed]
+            if rows.shape[0]:
+                preds[records["sample"][changed].astype(np.int64)] = predict_batch(
+                    tail_scores_batch(model, cache.layer, rows))
+        del rows  # neither the chunk nor its hit rows outlive the next read
     if not all_records:
         return preds, np.empty(0, dtype=RECORD_DTYPE), np.empty(0)
     return preds, np.concatenate(all_records), np.concatenate(all_u)
@@ -459,7 +458,7 @@ def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, caches: dict, 
     words = {op.op_id: draw_words(spec.seed, trial, sample_ids, op.op_id) for op in sites}
     first = np.full(len(dataset), len(model.layers))
     for op in reversed(sites):  # sites run in layer order, so the earliest hit is written last
-        first[uniforms(words[op.op_id]) < spec.probability] = op.layer_index
+        first[uniforms(words[op.op_id][:, 0]) < spec.probability] = op.layer_index
 
     preds = store.golden.copy()
     parts = []

@@ -17,6 +17,14 @@ Draw discipline per `maybe_inject` call (fixed, outcome-independent):
 
 All three words are consumed on every call, so per-call draw counts are
 constant and later records never depend on earlier Bernoulli outcomes.
+
+Campaigns inject through `inject_batch`, which applies the words of many
+samples at once.  The fault rule itself (the pattern each fault kind writes
+and the bit it records) lives in `fault_patterns` alone, which both
+`inject_batch` and the scalar `corrupt_element` call, and `uniforms` alone
+turns word 0 into the Bernoulli uniform.  The tests check both injectors
+against an independent oracle, `tests/reference_faults.py`, built on
+`numpy.random.Philox` and Python integers.
 """
 
 from __future__ import annotations
@@ -186,7 +194,7 @@ class PhiloxStream:
 
     def uniform(self) -> float:
         """Uniform float64 in [0, 1) from the top 53 bits of one word."""
-        return (self.next_u64() >> 11) * 2.0**-53
+        return uniforms(self.next_u64())
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) by 64-bit modulo (bias < n * 2**-64)."""
@@ -256,16 +264,23 @@ def flip_bit(value, bit):
     return flipped
 
 
-def _corrupted_bits(original: int, fault: str, material: int, specific_bit: int | None):
-    """New u32 pattern and the bit column for one corruption."""
+def fault_patterns(fault: str, bit: int | None, original, material):
+    """The fault rule: the corrupted u32 pattern and the bit column of a hit.
+
+    `original` is the hit element's u32 pattern and `material` its word 2,
+    both Python ints or both numpy integer arrays (one entry per hit); the
+    same operators serve either.  `bit` is the bit of bit_flip_specific.
+    Returns (corrupted, bit): zero writes +0.0, random_value the low 32 bits
+    of the material, bit_flip_random flips bit material % 32 and
+    bit_flip_specific flips `bit`.  The bit is NO_BIT for the faults that
+    flip none.
+    """
     if fault == "zero":
-        return 0, NO_BIT
+        return original & 0, NO_BIT
     if fault == "random_value":
         return material & 0xFFFFFFFF, NO_BIT
     if fault == "bit_flip_random":
         bit = material % 32
-        return original ^ (1 << bit), bit
-    bit = int(specific_bit)
     return original ^ (1 << bit), bit
 
 
@@ -277,6 +292,7 @@ def corrupt_element(tensor: np.ndarray, index: int, kind: str, stream: PhiloxStr
     and random_value drawing the original pattern are recorded as
     no-change (original == corrupted).
     """
+    specific_bit = check_fault(kind, specific_bit)
     tensor = np.asarray(tensor, dtype=np.float32)
     index = int(index)
     if not 0 <= index < tensor.size:
@@ -285,8 +301,8 @@ def corrupt_element(tensor: np.ndarray, index: int, kind: str, stream: PhiloxStr
     out = tensor.copy()
     flat = out.reshape(-1).view(np.uint32)
     original = int(flat[index])
-    corrupted, bit = _corrupted_bits(original, kind, material, specific_bit)
-    flat[index] = np.uint32(corrupted)
+    corrupted, bit = fault_patterns(kind, specific_bit, original, material)
+    flat[index] = corrupted
     record = InjectionRecord(
         trial=stream.trial,
         sample=stream.sample,
@@ -330,9 +346,13 @@ def draw_words(seed: int, trial: int, sample_ids: np.ndarray, site: int) -> np.n
     return philox_block(counters, np.uint64(check_u64(seed, "seed")), KEY_SALT)
 
 
-def uniforms(words: np.ndarray) -> np.ndarray:
-    """The Bernoulli uniform in [0, 1) of each word row: the top 53 bits of word 0."""
-    return (words[:, 0] >> np.uint64(11)).astype(np.float64) * 2.0**-53
+def uniforms(word0):
+    """The Bernoulli uniform in [0, 1) of word 0: its top 53 bits.
+
+    `word0` is a Python int or a uint64 array; the result is a float or a
+    float64 array, exact either way since 53 bits fit a float64.
+    """
+    return (word0 >> 11) * 2.0**-53
 
 
 def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial: int, sample_ids: np.ndarray, site: int):
@@ -341,16 +361,16 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial: in
     `acts` has shape (samples, *tensor shape) and is only read; words[i] is
     draw_words(spec.seed, trial, sample_ids, site)[i], the stream of the
     sample in row i.  Bit-for-bit equivalent to calling maybe_inject with
-    derive_stream(spec.seed, trial, sample, site) per sample, which the test
-    suite pins.  Returns (rows, records, u), one entry per sample the fault
-    hit, in row order: rows[i] is a copy of that sample's tensor with
-    records[i] applied, and u[i] is the Bernoulli uniform that decided the
-    hit.  A sample is hit iff its u is below spec.probability, and its
-    element and material do not depend on the probability: at any lower
-    probability the faults are the records whose u is below it.
+    derive_stream(spec.seed, trial, sample, site) per sample.  Returns
+    (rows, records, u), one entry per sample the fault hit, in row order:
+    rows[i] is a copy of that sample's tensor with records[i] applied, and
+    u[i] is the Bernoulli uniform that decided the hit.  A sample is hit iff
+    its u is below spec.probability, and its element and material do not
+    depend on the probability: at any lower probability the faults are the
+    records whose u is below it.
     """
     n_elements = int(np.prod(acts.shape[1:]))
-    u = uniforms(words)
+    u = uniforms(words[:, 0])
     hit = np.nonzero(u < spec.probability)[0]
     elements = (words[hit, 1] % np.uint64(n_elements)).astype(np.int64)
     material = words[hit, 2]
@@ -359,18 +379,7 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial: in
     flat = rows.reshape(hit.size, n_elements).view(np.uint32)
     at = (np.arange(hit.size), elements)
     original = flat[at]
-    if spec.fault == "zero":
-        corrupted = np.zeros_like(original)
-        bits = np.full(hit.size, NO_BIT, dtype=np.int32)
-    elif spec.fault == "random_value":
-        corrupted = (material & np.uint64(0xFFFFFFFF)).astype(np.uint32)
-        bits = np.full(hit.size, NO_BIT, dtype=np.int32)
-    elif spec.fault == "bit_flip_random":
-        bits = (material % np.uint64(32)).astype(np.int32)
-        corrupted = original ^ (np.uint32(1) << bits.astype(np.uint32))
-    else:  # bit_flip_specific
-        bits = np.full(hit.size, spec.bit, dtype=np.int32)
-        corrupted = original ^ np.uint32(1 << spec.bit)
+    corrupted, bits = fault_patterns(spec.fault, spec.bit, original, material)
     flat[at] = corrupted
 
     records = np.empty(hit.size, dtype=RECORD_DTYPE)

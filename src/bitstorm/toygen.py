@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Conv2D, Dense, Dropout, Flatten, MaxPool2D, Model, PReLU, Softmax, forward_batch
-from .faults import KEY_SALT, philox_block
+from .faults import KEY_SALT, philox_block, uniforms
 from .model_io import Dataset, save_config, save_dataset, save_model
 
 DEFAULT_SEED = 7
@@ -39,8 +39,7 @@ def _uniforms(seed: int, tag: int, count: int) -> np.ndarray:
     counters[:, 0] = np.arange(count, dtype=np.uint64)
     counters[:, 1] = np.uint64(tag)
     counters[:, 3] = _GEN_SITE
-    words = philox_block(counters, np.uint64(seed), KEY_SALT)[:, 0]
-    return (words >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return uniforms(philox_block(counters, np.uint64(seed), KEY_SALT)[:, 0])
 
 
 class _WeightSource:

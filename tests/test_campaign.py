@@ -233,10 +233,10 @@ class TestRunStochastic:
 
         real = camp.run_injected_layerwise
 
-        def flaky(model, cache, fault, trial, chunks=None):
+        def flaky(model, cache, fault, trial):
             if cache.layer == 1:
                 raise RuntimeError("simulated executor failure")
-            return real(model, cache, fault, trial, chunks=chunks)
+            return real(model, cache, fault, trial)
 
         monkeypatch.setattr(camp, "run_injected_layerwise", flaky)
         for name, probabilities in (("one_p", [1.0]), ("three_p", [0.0, 0.5, 1.0])):

@@ -22,8 +22,6 @@ from bitstorm.engine import (
     PReLU,
     ReLU,
     Softmax,
-    dropout_inference,
-    flatten,
     forward,
     forward_batch,
     forward_layer,
@@ -113,14 +111,16 @@ class TestElementwise:
 
     def test_flatten_bit_exact(self):
         x = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=F)
-        out = flatten(x)
+        out = forward_layer(Flatten(), x)
         assert out.shape == (4,)
         assert_bits_equal(out, [1.0, 2.0, 3.0, 4.0])
-        assert_bits_equal(flatten(out), out)
+        assert_bits_equal(forward_layer(Flatten(), out), out)
 
     def test_dropout_pass_through(self):
         x = np.array([1.0, np.nan, -2.0], dtype=F)
-        assert dropout_inference(x) is x
+        out = forward_layer(Dropout(rate=0.5), x)
+        assert_bits_equal(out, x)
+        assert np.shares_memory(out, x)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 import dataclasses
 import hashlib
+import io
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -155,16 +157,27 @@ class TestLayerwiseInjection:
         with pytest.raises(ValidationError, match="targets layer 3"):
             run_injected_layerwise(model, cache, spec, trial=0)
 
-    def test_chunked_equals_preloaded(self, toy, tmp_path):
+    def test_trial_holds_one_chunk_at_a_time(self, toy, tmp_path):
+        """A spilled trial drops each chunk before it reads the next one.
+
+        Bound: one chunk, the file reader's buffer, and 64 bytes a sample for
+        the trial's words (32), sample ids (8), predictions (8) and the small
+        arrays of each chunk.  A loop that keeps the previous chunk during the
+        next read peaks near 2.35 chunks here.
+        """
         model, dataset = toy
-        subset = _small_dataset(dataset, 12)
-        per_sample = int(np.prod(model.output_shapes[2])) * 4
-        cache = build_cache(model, subset, 2, per_sample * 5, tmp_path / "c")
-        spec = FaultSpec(mode="layer", target=2, fault="bit_flip_random", probability=1.0, seed=24)
-        a, recs_a, _ = run_injected_layerwise(model, cache, spec, trial=1)
-        b, recs_b, _ = run_injected_layerwise(model, cache, spec, trial=1, chunks=list(cache.iter_chunks()))
-        assert np.array_equal(a, b)
-        assert np.array_equal(recs_a, recs_b)
+        cache = build_cache(model, dataset, 0, 64 << 10, tmp_path / "c")
+        assert cache.chunk_count > 2
+        spec = FaultSpec(mode="layer", target=0, fault="bit_flip_random", probability=0.0, seed=3)
+        run_injected_layerwise(model, cache, spec, trial=1)  # numpy's lazy imports are not the trial's
+        tracemalloc.start()
+        try:
+            run_injected_layerwise(model, cache, spec, trial=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = cache.chunk_bytes(0) + io.DEFAULT_BUFFER_SIZE + 64 * cache.sample_count
+        assert peak <= bound, f"peak {peak} bytes, bound {bound} bytes"
 
     def test_sign_flip_of_top_logit_changes_prediction(self, toy):
         model, dataset = toy
@@ -455,10 +468,9 @@ class TestRowSkipping:
         spec = FaultSpec(mode="layer", target=layer, fault=fault, probability=probability, seed=seed,
                          bit=bit if fault == "bit_flip_specific" else None)
         want_preds, want_records = _full_recompute(model, cache, spec, trial)
-        for chunks in (None, list(cache.iter_chunks())):
-            preds, records, _ = run_injected_layerwise(model, cache, spec, trial, chunks=chunks)
-            assert np.array_equal(preds, want_preds)
-            assert np.array_equal(records, want_records)
+        preds, records, _ = run_injected_layerwise(model, cache, spec, trial)
+        assert np.array_equal(preds, want_preds)
+        assert np.array_equal(records, want_records)
 
     def test_spill_budgets_spill(self, toy_caches, relu_caches):
         assert toy_caches[SPILL_BUDGET][0].chunk_count > 1 and toy_caches[NO_SPILL_BUDGET][0].chunk_count == 1

@@ -1,13 +1,21 @@
-"""Fault injector tests: bit algebra, stream derivation, injection semantics."""
+"""Fault injector tests: bit algebra, stream derivation, injection semantics.
+
+Both injectors are checked against `reference_faults`, which shares no code
+with `bitstorm.faults`.
+"""
+
+import dataclasses
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference_faults as ref
 from conftest import assert_bits_equal
 from bitstorm.errors import ValidationError
 from bitstorm.faults import (
+    FAULT_KINDS,
     FaultSpec,
     NO_BIT,
     PhiloxStream,
@@ -23,6 +31,7 @@ from bitstorm.faults import (
 )
 
 F = np.float32
+U64_MAX = 2**64 - 1
 
 
 class TestFlipBit:
@@ -82,6 +91,15 @@ class TestStreams:
             np_ctr[0] -= 1
             theirs = np.random.Philox(counter=np_ctr.tolist(), key=key.tolist()).random_raw(4)
             assert np.array_equal(mine, theirs)
+
+    @pytest.mark.parametrize("key", [(1, 2, 3, 4), (0, 0, 0, 0), (U64_MAX, U64_MAX, U64_MAX, U64_MAX),
+                                     (5, U64_MAX, 0, U64_MAX)])
+    def test_stream_words_match_reference(self, key):
+        # 100 words span the stream's first two buffer refills (8 and 16 blocks)
+        stream = derive_stream(*key)
+        assert [stream.next_u64() for _ in range(100)] == ref.stream_words(*key, count=100)
+        stream = derive_stream(*key)
+        assert stream.uniform() == ref.uniform(ref.stream_words(*key, count=1)[0])
 
     def test_uniform_range(self):
         stream = derive_stream(11, 0, 0, 0)
@@ -143,6 +161,17 @@ class TestCorruptElement:
         b, rec_b = corrupt_element(t, 5, "random_value", derive_stream(42, 1, 2, 3))
         assert rec_a.corrupted == rec_b.corrupted
         assert_bits_equal(a, b)
+        want, (bit, original, corrupted) = ref.corrupt(t, 5, "random_value", None, ref.stream_words(42, 1, 2, 3)[0])
+        assert_bits_equal(a, want)
+        assert (rec_a.bit, rec_a.original, rec_a.corrupted) == (bit, original, corrupted)
+
+    @pytest.mark.parametrize("kind,bit", [("bogus", None), ("bit_flip_specific", None),
+                                          ("bit_flip_specific", 40), ("zero", 3)])
+    def test_rejects_invalid_fault(self, kind, bit):
+        stream = derive_stream(0, 0, 0, 0)
+        with pytest.raises(ValidationError):
+            corrupt_element(np.zeros(3, dtype=F), 0, kind, stream, specific_bit=bit)
+        assert stream.next_u64() == ref.stream_words(0, 0, 0, 0, count=1)[0], "a rejected fault drew a word"
 
     def test_index_out_of_range(self):
         with pytest.raises(ValidationError, match="out of range"):
@@ -212,32 +241,25 @@ class TestInjectBatch:
         acts = rng.normal(size=(33, 5, 2)).astype(F)
         rows, batch_recs, u = inject_batch(acts, spec, draw_words(31, 3, np.arange(33), 4), trial=3,
                                           sample_ids=np.arange(33), site=4)
-        batch_out = acts.copy()
-        batch_out[batch_recs["sample"].astype(np.int64)] = rows
-        singles = []
-        scalar_recs = []
+        want = [ref.inject(acts[s], fault, bit, 0.7, 31, 3, s, 4) for s in range(33)]
+        hits = [w for w in want if w[2] is not None]
+        assert 0 < len(hits) < 33
+        assert rows.shape == (len(hits), 5, 2) and batch_recs.shape == (len(hits),)
+        assert_bits_equal(rows, np.stack([out for _, out, _ in hits]))
+        assert u.tolist() == [w_u for w_u, _, _ in hits]
+        assert [tuple(int(r[name]) for name in RECORD_DTYPE.names) for r in batch_recs] == [rec for _, _, rec in hits]
         for s in range(33):
+            _, want_out, want_rec = want[s]
             out, recs = maybe_inject(acts[s], spec, derive_stream(31, 3, s, 4))
-            singles.append(out)
-            scalar_recs.extend(recs)
-        assert_bits_equal(batch_out, np.stack(singles))
-        assert rows.shape == (len(batch_recs), 5, 2)
-        assert u.tolist() == [derive_stream(31, 3, int(s), 4).uniform() for s in batch_recs["sample"]]
-        assert len(scalar_recs) == len(batch_recs)
-        for left, right in zip(scalar_recs, batch_recs):
-            assert (left.trial, left.sample, left.site, left.element, left.bit,
-                    left.original, left.corrupted) == (
-                int(right["trial"]), int(right["sample"]), int(right["site"]),
-                int(right["element"]), int(right["bit"]),
-                int(right["original"]), int(right["corrupted"]))
+            assert_bits_equal(out, want_out)
+            assert [dataclasses.astuple(r) for r in recs] == ([want_rec] if want_rec else [])
 
     def test_draw_words_are_each_streams_first_words(self):
         ids = np.array([0, 5, 6, 1000, 2**40], dtype=np.uint64)
         words = draw_words(77, 9, ids, 12)
         assert words.shape == (5, 4)
         for row, sample in zip(words, ids):
-            stream = derive_stream(77, 9, int(sample), 12)
-            assert row[:3].tolist() == [stream.next_u64() for _ in range(3)]
+            assert row.tolist() == ref.stream_words(77, 9, int(sample), 12, count=4)
         # one draw over all samples, sliced, equals a draw per chunk
         assert np.array_equal(draw_words(77, 9, ids, 12)[1:3], draw_words(77, 9, ids[1:3], 12))
 
@@ -276,3 +298,45 @@ class TestUniformity:
             bits[records[0].bit] += 1
         assert elements.min() > (n / 50) * 0.7 and elements.max() < (n / 50) * 1.3
         assert bits.min() > (n / 32) * 0.7 and bits.max() < (n / 32) * 1.3
+
+
+U64 = st.one_of(st.just(U64_MAX), st.just(0), st.integers(0, U64_MAX))
+
+
+class TestAgainstReference:
+    """Both injectors equal the independent reference on random inputs."""
+
+    @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           samples=st.lists(U64, min_size=1, max_size=6, unique=True),
+           fault=st.sampled_from(FAULT_KINDS), bit=st.integers(0, 31),
+           probability=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=U64, trial=U64, site=U64, values=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_injectors_equal_reference(self, shape, samples, fault, bit, probability, seed, trial, site, values):
+        bit = bit if fault == "bit_flip_specific" else None
+        spec = FaultSpec(mode="layer", target=0, fault=fault, probability=probability, seed=seed, bit=bit)
+        # any bit pattern, NaNs and infinities included
+        acts = np.random.default_rng(values).integers(0, 2**32, size=(len(samples), *shape), dtype=np.uint32).view(F)
+        ids = np.array(samples, dtype=np.uint64)
+        want = [ref.inject(acts[i], fault, bit, probability, seed, trial, s, site) for i, s in enumerate(samples)]
+
+        rows, records, u = inject_batch(acts, spec, draw_words(seed, trial, ids, site), trial, ids, site)
+        hits = [w for w in want if w[2] is not None]
+        assert rows.shape == (len(hits), *shape) and records.shape == u.shape == (len(hits),)
+        for row, record, u_i, (want_u, want_out, want_rec) in zip(rows, records, u, hits):
+            assert_bits_equal(row, want_out)
+            assert tuple(int(record[name]) for name in RECORD_DTYPE.names) == want_rec
+            assert float(u_i) == want_u
+
+        for i, s in enumerate(samples):
+            _, want_out, want_rec = want[i]
+            out, recs = maybe_inject(acts[i], spec, derive_stream(seed, trial, s, site))
+            assert_bits_equal(out, want_out)
+            assert [dataclasses.astuple(r) for r in recs] == ([want_rec] if want_rec else [])
+            # corrupt_element on a fresh stream takes word 0 as its material
+            w0, w1, _ = ref.stream_words(seed, trial, s, site)
+            index = ref.element(w1, acts[i].size)
+            out, rec = corrupt_element(acts[i], index, fault, derive_stream(seed, trial, s, site), bit)
+            want_out, applied = ref.corrupt(acts[i], index, fault, bit, w0)
+            assert_bits_equal(out, want_out)
+            assert dataclasses.astuple(rec) == (trial, s, site, index, *applied)
