@@ -192,8 +192,12 @@ def resolve_targets(spec: CampaignSpec, model: Model) -> list:
 
 
 def _worker_count(workers) -> int:
+    """`workers`, else BITSTORM_THREADS (a non-negative integer); 0 or less means one per CPU, up to 8."""
     if workers is None:
-        workers = int(os.environ.get("BITSTORM_THREADS", "0") or 0)
+        text = os.environ.get("BITSTORM_THREADS", "").strip() or "0"
+        if not (text.isascii() and text.isdigit()):
+            raise ValidationError(f"BITSTORM_THREADS must be a non-negative integer, got {text!r}")
+        workers = int(text)
     if workers <= 0:
         workers = min(os.cpu_count() or 1, 8)
     return workers

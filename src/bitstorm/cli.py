@@ -7,11 +7,12 @@
     bitstorm gen-toy  --out DIR [--seed N] [--variant cnn|prelu-cnn]
 
 Exit codes: 0 success, 1 internal error, 2 input/validation error,
-3 resource error (budget, disk, lock contention).  Console output is
-mirrored into run.log inside the output directory.  Concurrent invocations
-against the same output directory are rejected via an flock on a lock file,
-which the kernel releases when the process dies.
-``BITSTORM_THREADS`` caps the campaign worker count (0 = auto).
+3 resource error (budget, lock contention, any OS error such as a full
+disk).  Console output is mirrored into run.log inside the output
+directory.  Concurrent invocations against the same output directory are
+rejected via an flock on a lock file, which the kernel releases when the
+process dies.  ``BITSTORM_THREADS``, a non-negative integer, caps the
+campaign worker count (0 = auto).
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .campaign import (
     ACCURACY_FILE,
     RECORDS_FILE,
     SUMMARY_FILE,
+    _worker_count,
     accuracy,
     emit_report,
     resolve_targets,
@@ -37,7 +39,7 @@ from .campaign import (
 )
 from .errors import BitstormError, ResourceError, ValidationError
 from .executor import golden_run, layer_caches
-from .model_io import load_config, load_dataset, load_model
+from .model_io import load_config, load_dataset, load_model, replacing
 from . import toygen
 
 EXIT_OK = 0
@@ -120,7 +122,8 @@ def cmd_golden(args, console: Console) -> int:
         preds = golden_run(model, dataset)
         vs_labels = accuracy(preds, dataset.labels)
         doc = {"sample_count": len(preds), "predictions": preds.tolist(), "accuracy_vs_labels": vs_labels}
-        (out_dir / "golden.json").write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        with replacing([out_dir / "golden.json"]) as (fh,):
+            fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
         console.line(f"golden run: {len(preds)} predictions -> {out_dir / 'golden.json'}")
         console.line(f"accuracy vs labels: {vs_labels!r}")
     return EXIT_OK
@@ -172,11 +175,12 @@ def _print_summary(console: Console, summary: dict):
 def cmd_campaign(args, console: Console) -> int:
     config = _apply_overrides(load_config(args.config), args)
     spec = config.spec
+    workers = _worker_count(None)
     model, dataset = _load_inputs(config)
-    resolve_targets(spec, model)  # a target the model lacks is rejected before out_dir is created
+    resolve_targets(spec, model)  # a bad thread count or target is rejected before out_dir is created
     with _locked(spec.out_dir):
         console.attach(spec.out_dir)
-        result = run_stochastic(spec, model, dataset)
+        result = run_stochastic(spec, model, dataset, workers=workers)
         emit_report(result, spec.out_dir)
         summary = json.loads((spec.out_dir / SUMMARY_FILE).read_text(encoding="utf-8"))
         _print_summary(console, summary)
@@ -258,7 +262,7 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"bitstorm: error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except ResourceError as exc:
+    except (ResourceError, OSError) as exc:
         print(f"bitstorm: resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except KeyboardInterrupt:

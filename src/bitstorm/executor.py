@@ -1,12 +1,12 @@
 """Inference drivers: golden runs, injection hooks, split execution.
 
-Layer-wise campaigns split the model at the injection layer.  One chunked
-forward pass over the dataset runs every layer once per sample; it appends
-the output of each targeted layer to that layer's on-disk cache, in chunks
-within the memory budget, and runs on to the last layer so that each cache
-also stores the golden predictions.  A cache is reused only when its
-content key (format version, model, dataset samples, layer and budget)
-matches exactly.
+Layer-wise campaigns split the model at the injection layer.  The golden
+pass runs every layer once per sample, `_BUILD_BATCH` samples at a time;
+`golden_run` keeps only its predictions, and a cache build appends the
+output of each targeted layer to that layer's payload file, `acts.bin`, and
+stores the predictions beside it.  Trials read a payload in chunks of at
+most `budget` bytes.  A cache is reused only when its content key (format
+version, model, dataset samples, layer and budget) matches exactly.
 
 Every trial corrupts copies of the cached rows its fault hit and replays
 the tail only for the rows whose activation the fault actually changed;
@@ -35,14 +35,13 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import engine
-from .engine import Model, forward_batch, forward_layer_batch, predict_batch, tail_scores_batch
+from .engine import Model, forward_layer_batch, predict_batch, tail_scores_batch
 from .engine import head_batch  # noqa: F401  kept in this namespace: perfbench/test_selfcheck.py traces it here
 from .errors import ResourceError, ValidationError
 from .faults import RECORD_DTYPE, FaultSpec, draw_words, inject_batch, uniforms
@@ -50,13 +49,14 @@ from .microops import MicroOpModel, run_microops_batch
 from .model_io import Dataset, replacing
 
 CACHE_MANIFEST = "cache_manifest.json"
+PAYLOAD_FILE = "acts.bin"
 GOLDEN_FILE = "golden.bin"
 
 #: Bumped whenever the on-disk cache layout changes; part of every cache key.
-CACHE_FORMAT_VERSION = 2
+CACHE_FORMAT_VERSION = 3
 
-#: Cap on how many samples the cache-building pass pushes through the model
-#: at once; keeps transient compute buffers small.
+#: Cap on how many samples the golden pass pushes through the model at once;
+#: keeps transient compute buffers small.
 _BUILD_BATCH = 256
 
 
@@ -71,10 +71,28 @@ def _check_pairing(model: Model, dataset: Dataset):
         )
 
 
+def _golden_pass(model: Model, dataset: Dataset, emit=None) -> np.ndarray:
+    """The golden predictions, from a forward pass of `_BUILD_BATCH` samples at a time.
+
+    `emit(index, rows)`, when given, receives the output of layer `index`
+    for each batch, in sample order.  Every kernel computes each sample from
+    its own row, so the batch size changes no output bit.
+    """
+    _check_pairing(model, dataset)
+    golden = np.empty(len(dataset), dtype=np.int64)
+    for lo in range(0, len(dataset), _BUILD_BATCH):
+        out = np.asarray(dataset.samples[lo : lo + _BUILD_BATCH], dtype=engine.F32)
+        for index, layer in enumerate(model.layers):
+            out = forward_layer_batch(layer, out)
+            if emit is not None:
+                emit(index, out)
+        golden[lo : lo + out.shape[0]] = predict_batch(out)
+    return golden
+
+
 def golden_run(model: Model, dataset: Dataset) -> np.ndarray:
     """Injection-free predicted class per sample, int64 (INVALID_PREDICTION for all-NaN scores)."""
-    _check_pairing(model, dataset)
-    return predict_batch(forward_batch(model, dataset.samples))
+    return _golden_pass(model, dataset)
 
 
 def run_tail(model: Model, layer_index: int, activation: np.ndarray) -> int:
@@ -121,18 +139,19 @@ def _cache_key(content: str, layer: int, budget: int) -> str:
 
 @dataclass(eq=False)
 class ActivationCache:
-    """Chunked on-disk store of one layer's outputs for an entire dataset.
+    """On-disk store of one layer's outputs for an entire dataset, read in chunks.
 
-    `golden` holds the dataset's injection-free predictions, which the
-    building pass computed alongside the activations.
+    `acts.bin` holds the outputs sample-major.  Chunk k is the byte range of
+    samples [k * samples_per_chunk, (k + 1) * samples_per_chunk), so a chunk
+    holds at most `budget` bytes.  `golden` holds the dataset's
+    injection-free predictions, which the building pass computed alongside
+    the activations.
     """
 
     directory: Path
     layer: int
     sample_count: int
     shape: tuple
-    samples_per_chunk: int
-    chunk_count: int
     budget: int
     key: str
     golden: np.ndarray  # (sample_count,) int64, read-only
@@ -145,8 +164,13 @@ class ActivationCache:
     def total_bytes(self) -> int:
         return self.bytes_per_sample * self.sample_count
 
-    def chunk_path(self, index: int) -> Path:
-        return self.directory / f"chunk_{index}.bin"
+    @property
+    def samples_per_chunk(self) -> int:
+        return min(self.budget // self.bytes_per_sample, self.sample_count)
+
+    @property
+    def chunk_count(self) -> int:
+        return -(-self.sample_count // self.samples_per_chunk)
 
     def chunk_bytes(self, index: int) -> int:
         start = index * self.samples_per_chunk
@@ -156,39 +180,20 @@ class ActivationCache:
         """Yield (start_sample, activations) per chunk in sequential order.
 
         `indices` limits the read to those chunks (ascending); default all.
-        Activation arrays are read-only; trials corrupt copies, never the
-        cache.
+        Each chunk takes one seek and one read.  Activation arrays are
+        read-only; trials corrupt copies, never the cache.
         """
-        for k in range(self.chunk_count) if indices is None else indices:
-            start = k * self.samples_per_chunk
-            raw = self.chunk_path(k).read_bytes()
-            expected = self.chunk_bytes(k)
-            if len(raw) != expected:
-                raise ValidationError(
-                    f"{self.chunk_path(k)}: {len(raw)} bytes on disk, manifest promises {expected}"
-                )
-            yield start, np.frombuffer(raw, dtype="<f4").reshape((-1, *self.shape))
-            del raw  # a caller that lets go of a chunk never holds two
-
-    def _write_rows(self, start: int, rows: np.ndarray) -> None:
-        """Append the outputs of samples [start, start + len(rows)) to their chunks.
-
-        A chunk grows in `chunk_<k>.bin.tmp` and is renamed into place once
-        its last sample is written.
-        """
-        done = 0
-        while done < rows.shape[0]:
-            sample = start + done
-            chunk_start = sample - sample % self.samples_per_chunk
-            chunk_stop = min(chunk_start + self.samples_per_chunk, self.sample_count)
-            take = min(chunk_stop - sample, rows.shape[0] - done)
-            path = self.chunk_path(chunk_start // self.samples_per_chunk)
-            tmp = path.with_name(path.name + ".tmp")
-            with open(tmp, "ab" if sample > chunk_start else "wb") as fh:
-                fh.write(np.ascontiguousarray(rows[done : done + take], dtype="<f4").data)
-            if sample + take == chunk_stop:
-                os.replace(tmp, path)
-            done += take
+        path = self.directory / PAYLOAD_FILE
+        with open(path, "rb") as fh:
+            for k in range(self.chunk_count) if indices is None else indices:
+                start = k * self.samples_per_chunk
+                expected = self.chunk_bytes(k)
+                fh.seek(start * self.bytes_per_sample)
+                raw = fh.read(expected)
+                if len(raw) != expected:
+                    raise ValidationError(f"{path}: chunk {k} holds {len(raw)} bytes, manifest promises {expected}")
+                yield start, np.frombuffer(raw, dtype="<f4").reshape((-1, *self.shape))
+                del raw  # a caller that lets go of a chunk never holds two
 
     def save_manifest(self):
         doc = {
@@ -198,8 +203,6 @@ class ActivationCache:
             "sample_count": self.sample_count,
             "shape": list(self.shape),
             "dtype": "<f4",
-            "samples_per_chunk": self.samples_per_chunk,
-            "chunk_count": self.chunk_count,
             "budget": self.budget,
         }
         with replacing([self.directory / CACHE_MANIFEST], "wb") as (fh,):
@@ -207,7 +210,7 @@ class ActivationCache:
 
 
 def load_cache(directory) -> ActivationCache:
-    """Read a cache's manifest and golden predictions (chunks are read lazily)."""
+    """Read a cache's manifest and golden predictions (activations are read lazily)."""
     directory = Path(directory)
     path = directory / CACHE_MANIFEST
     if not path.is_file():
@@ -219,85 +222,66 @@ def load_cache(directory) -> ActivationCache:
     golden = np.frombuffer((directory / GOLDEN_FILE).read_bytes(), dtype="<i8").astype(np.int64, copy=False)
     if golden.size != sample_count:
         raise ValidationError(f"{directory / GOLDEN_FILE}: {golden.size} predictions, manifest promises {sample_count}")
-    return ActivationCache(
-        directory=directory,
-        layer=int(doc["layer"]),
-        sample_count=sample_count,
-        shape=tuple(doc["shape"]),
-        samples_per_chunk=int(doc["samples_per_chunk"]),
-        chunk_count=int(doc["chunk_count"]),
-        budget=int(doc["budget"]),
-        key=str(doc["key"]),
-        golden=golden,
-    )
+    cache = ActivationCache(directory=directory, layer=int(doc["layer"]), sample_count=sample_count,
+                            shape=tuple(doc["shape"]), budget=int(doc["budget"]), key=str(doc["key"]), golden=golden)
+    if cache.budget < cache.bytes_per_sample:
+        raise ValidationError(f"{path}: budget {cache.budget} bytes is below one sample's activation "
+                              f"({cache.bytes_per_sample} bytes)")
+    return cache
 
 
 def _valid_cache(directory: Path, key: str) -> ActivationCache | None:
-    """The cache in `directory` if its key matches and every file is whole, else None."""
+    """The cache in `directory` if its key matches and its payload is whole, else None."""
     try:
         cache = load_cache(directory)
-        if cache.key != key:
+        if cache.key != key or (directory / PAYLOAD_FILE).stat().st_size != cache.total_bytes:
             return None
-        for k in range(cache.chunk_count):
-            if cache.chunk_path(k).stat().st_size != cache.chunk_bytes(k):
-                return None
     except (OSError, ValueError, KeyError, TypeError, ValidationError):
         return None
     return cache
 
 
 def _write_caches(model: Model, dataset: Dataset, directories: dict, budget: int, content: str) -> dict:
-    """One forward pass that builds the cache of every layer in `directories`.
+    """One golden pass that builds the cache of every layer in `directories`.
 
-    Each layer's outputs are written to disk as the pass produces them.  A
-    crash leaves no manifest, so a half-built cache is never read: the old
-    manifest goes first, chunks and golden predictions are renamed into
-    place whole, and the manifest is written last.
+    Each layer's outputs are appended to its payload as the pass produces
+    them.  A crash leaves no manifest, so a half-built cache is never read:
+    the old manifest goes first, every payload and golden prediction file is
+    renamed into place whole once the pass is done, and the manifest is
+    written last.
     """
     _check_pairing(model, dataset)
-    n = len(dataset)
     caches = {}
     for layer, directory in directories.items():
         if not 0 <= layer < len(model.layers):
             raise ValidationError(f"layer index {layer} out of range for {len(model.layers)} layers")
-        shape = model.output_shapes[layer]
-        bytes_per_sample = int(np.prod(shape)) * 4
-        if budget < bytes_per_sample:
-            raise ResourceError(
-                f"memory budget {budget} bytes is below one sample's activation ({bytes_per_sample} bytes)"
-            )
-        samples_per_chunk = min(budget // bytes_per_sample, n)
-        caches[layer] = ActivationCache(
-            directory=Path(directory),
-            layer=layer,
-            sample_count=n,
-            shape=shape,
-            samples_per_chunk=int(samples_per_chunk),
-            chunk_count=-(-n // samples_per_chunk),
-            budget=int(budget),
-            key=_cache_key(content, layer, budget),
-            golden=np.empty(0, dtype=np.int64),
-        )
-    golden = np.empty(n, dtype=np.int64)
+        cache = ActivationCache(directory=Path(directory), layer=layer, sample_count=len(dataset),
+                                shape=model.output_shapes[layer], budget=int(budget),
+                                key=_cache_key(content, layer, budget), golden=np.empty(0, dtype=np.int64))
+        if budget < cache.bytes_per_sample:
+            raise ResourceError(f"memory budget {budget} bytes is below one sample's activation "
+                                f"({cache.bytes_per_sample} bytes)")
+        caches[layer] = cache
     try:
         for cache in caches.values():
             cache.directory.mkdir(parents=True, exist_ok=True)
             (cache.directory / CACHE_MANIFEST).unlink(missing_ok=True)
-            for stale in cache.directory.glob("chunk_*"):
+            for stale in cache.directory.glob("chunk_*"):  # the per-chunk files of format 2
                 stale.unlink()
-        for lo in range(0, n, _BUILD_BATCH):
-            hi = min(lo + _BUILD_BATCH, n)
-            out = np.asarray(dataset.samples[lo:hi], dtype=engine.F32)
-            for index, layer in enumerate(model.layers):
-                out = forward_layer_batch(layer, out)
-                if index in caches:
-                    caches[index]._write_rows(lo, out)
-            golden[lo:hi] = predict_batch(out)
+        paths = [cache.directory / name for name in (PAYLOAD_FILE, GOLDEN_FILE) for cache in caches.values()]
+        with replacing(paths, "wb") as files:
+            payloads = dict(zip(caches, files))
+
+            def emit(index, rows):
+                if index in payloads:
+                    payloads[index].write(np.ascontiguousarray(rows, dtype="<f4").data)
+
+            golden = _golden_pass(model, dataset, emit)
+            for fh in files[len(caches):]:
+                fh.write(golden.astype("<i8").tobytes())
         golden.flags.writeable = False
         for cache in caches.values():
             cache.golden = golden
-            with replacing([cache.directory / GOLDEN_FILE], "wb") as (fh,):
-                fh.write(golden.astype("<i8").tobytes())
             cache.save_manifest()
     except OSError as exc:
         raise ResourceError(f"failed to write an activation cache: {exc}") from None
@@ -305,11 +289,11 @@ def _write_caches(model: Model, dataset: Dataset, directories: dict, budget: int
 
 
 def build_cache(model: Model, dataset: Dataset, layer: int, budget: int, directory) -> ActivationCache:
-    """Run the model once and persist layer outputs in chunks within `budget`.
+    """Run the model once and persist one layer's outputs, read back in chunks within `budget`.
 
-    Each chunk holds at most `budget // bytes_per_sample` samples; anything
-    larger spills into additional chunk files read back sequentially during
-    replay.
+    Each chunk holds at most `budget // bytes_per_sample` samples; a larger
+    dataset spills into further chunks of the same payload file, read back
+    sequentially during replay.
     """
     return _write_caches(model, dataset, {layer: directory}, budget, _content_digest(model, dataset))[layer]
 

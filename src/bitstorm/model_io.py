@@ -355,8 +355,19 @@ class RunConfig:
     spec: CampaignSpec
 
 
+#: The top-level keys of config.json: required campaign keys, optional ones
+#: (CampaignSpec holds their defaults) and paths relative to the file.
+_CONFIG_REQUIRED = ("mode", "target", "probabilities", "fault")
+_CONFIG_OPTIONAL = ("bit", "trials", "metric", "seed", "budget", "cma_window", "cma_epsilon")
+_CONFIG_PATHS = ("model", "dataset", "out_dir")
+
+
 def load_config(path) -> RunConfig:
-    """Load a run configuration; CampaignSpec checks the campaign parameters."""
+    """Load a run configuration; CampaignSpec checks the campaign parameters.
+
+    A key outside the documented set is rejected by name, so a misspelt
+    optional key never falls back to its default unnoticed.
+    """
     path = Path(path)
     if not path.is_file():
         raise ValidationError(f"config file not found: {path}")
@@ -365,21 +376,14 @@ def load_config(path) -> RunConfig:
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: malformed JSON at line {exc.lineno}: {exc.msg}") from None
     where = str(path)
-    fields = dict(
-        mode=_require(doc, "mode", where),
-        targets=_require(doc, "target", where),
-        probabilities=_require(doc, "probabilities", where),
-        fault=_require(doc, "fault", where),
-        bit=doc.get("bit"),
-        trials=doc.get("trials", DEFAULT_TRIALS),
-        metric=doc.get("metric", "golden_run"),
-        seed=doc.get("seed", 0),
-        budget=doc.get("budget", DEFAULT_BUDGET),
-        cma_window=doc.get("cma_window", DEFAULT_CMA_WINDOW),
-        cma_epsilon=doc.get("cma_epsilon", DEFAULT_CMA_EPSILON),
-    )
-    base = path.parent
-    model, dataset, out_dir = (base / _require(doc, name, where) for name in ("model", "dataset", "out_dir"))
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{where}: expected a JSON object")
+    unknown = sorted(set(doc) - {*_CONFIG_REQUIRED, *_CONFIG_OPTIONAL, *_CONFIG_PATHS})
+    if unknown:
+        raise ValidationError(f"{where}: unknown keys {unknown}")
+    fields = {("targets" if key == "target" else key): _require(doc, key, where) for key in _CONFIG_REQUIRED}
+    fields.update((key, doc[key]) for key in _CONFIG_OPTIONAL if key in doc)
+    model, dataset, out_dir = (path.parent / _require(doc, name, where) for name in _CONFIG_PATHS)
     try:
         spec = CampaignSpec(out_dir=out_dir, **fields)
     except ValidationError as exc:

@@ -200,6 +200,10 @@ class TestRunStochastic:
         assert _worker_count(None) == 3
         monkeypatch.setenv("BITSTORM_THREADS", "0")
         assert _worker_count(None) >= 1
+        for bad in ("abc", "-3"):
+            monkeypatch.setenv("BITSTORM_THREADS", bad)
+            with pytest.raises(ValidationError, match="BITSTORM_THREADS"):
+                _worker_count(None)
         monkeypatch.delenv("BITSTORM_THREADS")
         assert _worker_count(5) == 5
 

@@ -3,12 +3,19 @@
 import fcntl
 import json
 import os
+import resource
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bitstorm
 from bitstorm.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, _locked, main
 from bitstorm.errors import ResourceError
+from bitstorm.executor import load_cache
 from bitstorm.model_io import Dataset, load_dataset, save_config, save_dataset
 
 
@@ -96,8 +103,8 @@ class TestCache:
         assert main(["cache", "--config", str(config)]) == EXIT_OK
         out = capsys.readouterr().out
         assert f"{10 * 512 * 4} bytes" in out
-        chunk = tmp_path / "c" / "caches" / "cache_layer_3" / "chunk_0.bin"
-        assert chunk.stat().st_size == 10 * 512 * 4
+        payload = tmp_path / "c" / "caches" / "cache_layer_3" / "acts.bin"
+        assert payload.stat().st_size == 10 * 512 * 4
 
     def test_budget_below_one_activation_exits_3(self, toy_dir, tmp_path):
         config = _write_config(tmp_path / "config.json", toy_dir, target=[3], out_dir=str(tmp_path / "c"))
@@ -114,10 +121,12 @@ class TestCache:
         budget = 3 * per_sample + 7
         assert main(["cache", "--config", str(config), "--budget", str(budget)]) == EXIT_OK
         cache_dir = tmp_path / "c" / "caches" / "cache_layer_3"
-        assert sorted(p.name for p in cache_dir.glob("chunk_*")) == [f"chunk_{k}.bin" for k in range(4)]
-        assert [(cache_dir / f"chunk_{k}.bin").stat().st_size for k in range(4)] == [3 * per_sample] * 3 + [per_sample]
+        assert sorted(p.name for p in cache_dir.iterdir()) == ["acts.bin", "cache_manifest.json", "golden.bin"]
+        cache = load_cache(cache_dir)
+        assert (cache.samples_per_chunk, cache.chunk_count) == (3, 4)
+        assert [acts.nbytes for _, acts in cache.iter_chunks()] == [3 * per_sample] * 3 + [per_sample]
         manifest = json.loads((cache_dir / "cache_manifest.json").read_text())
-        assert manifest["samples_per_chunk"] == 3 and manifest["budget"] == budget
+        assert manifest["budget"] == budget
 
     def test_opwise_config_is_usage_error(self, toy_dir, tmp_path):
         config = _write_config(tmp_path / "config.json", toy_dir, mode="op", target=["Add"],
@@ -127,10 +136,10 @@ class TestCache:
     def test_rebuild_byte_identical(self, toy_dir, tmp_path):
         config = _write_config(tmp_path / "config.json", toy_dir, target=[2], out_dir=str(tmp_path / "c"))
         assert main(["cache", "--config", str(config)]) == EXIT_OK
-        chunk = tmp_path / "c" / "caches" / "cache_layer_2" / "chunk_0.bin"
-        first = chunk.read_bytes()
+        payload = tmp_path / "c" / "caches" / "cache_layer_2" / "acts.bin"
+        first = payload.read_bytes()
         assert main(["cache", "--config", str(config)]) == EXIT_OK
-        assert chunk.read_bytes() == first
+        assert payload.read_bytes() == first
 
 
 class TestCampaign:
@@ -198,6 +207,62 @@ class TestRejectedTargets:
         assert main([command, "--config", str(config)]) == EXIT_VALIDATION
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+
+class TestBadThreadCount:
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+    def test_exits_2_naming_the_variable_and_creates_no_out_dir(self, toy_dir, tmp_path, capsys, monkeypatch,
+                                                                value):
+        monkeypatch.setenv("BITSTORM_THREADS", value)
+        out = tmp_path / "r"
+        config = _write_config(tmp_path / "config.json", toy_dir, out_dir=str(out))
+        assert main(["campaign", "--config", str(config)]) == EXIT_VALIDATION
+        assert "BITSTORM_THREADS" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def _run_with_file_limit(argv, limit):
+    """Run the CLI in a child process that may not grow a file past `limit` bytes.
+
+    SIGXFSZ is ignored, so a write past the limit fails with EFBIG (an
+    OSError) instead of killing the process.
+    """
+
+    def limit_files():
+        signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+        resource.setrlimit(resource.RLIMIT_FSIZE, (limit, limit))
+
+    src = str(Path(bitstorm.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
+    return subprocess.run([sys.executable, "-m", "bitstorm.cli", *argv], env=env, preexec_fn=limit_files,
+                          capture_output=True, text=True, timeout=600)
+
+
+class TestDiskErrors:
+    """An OS error while writing an output exits 3 and leaves the previous output whole."""
+
+    def test_golden_exits_3_and_keeps_golden_json(self, toy_dir, tmp_path):
+        config = _write_config(tmp_path / "config.json", toy_dir, out_dir=str(tmp_path / "g"))
+        assert main(["golden", "--config", str(config)]) == EXIT_OK
+        golden = tmp_path / "g" / "golden.json"
+        before = golden.read_bytes()
+        assert len(before) > 1024
+        proc = _run_with_file_limit(["golden", "--config", str(config)], 1024)
+        assert proc.returncode == EXIT_RESOURCE, proc.stderr
+        assert "resource error" in proc.stderr
+        assert golden.read_bytes() == before
+        assert not list(golden.parent.glob("*.tmp"))
+
+    def test_campaign_with_reused_caches_exits_3_and_keeps_the_report(self, toy_dir, tmp_path):
+        config = _write_config(tmp_path / "config.json", toy_dir, probabilities=[1.0], trials=2,
+                               out_dir=str(tmp_path / "r"))
+        assert main(["campaign", "--config", str(config)]) == EXIT_OK
+        out = tmp_path / "r"
+        before = {p.name: p.read_bytes() for p in out.iterdir() if p.is_file() and p.name != "run.log"}
+        assert (out / "records.csv").stat().st_size > 4096
+        proc = _run_with_file_limit(["campaign", "--config", str(config)], 4096)
+        assert proc.returncode == EXIT_RESOURCE, proc.stderr
+        assert {p.name: p.read_bytes() for p in out.iterdir() if p.is_file() and p.name != "run.log"} == before
 
 
 class TestReport:

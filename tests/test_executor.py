@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import io
+import json
 import tracemalloc
 
 import numpy as np
@@ -54,6 +55,38 @@ class TestGoldenRun:
         with pytest.raises(ValidationError, match="input"):
             golden_run(model, bad)
 
+    def test_equals_whole_batch_forward(self, toy, monkeypatch):
+        model, dataset = toy
+        want = predict_batch(forward_batch(model, dataset.samples))
+        monkeypatch.setattr(executor_mod, "_BUILD_BATCH", 7)
+        assert np.array_equal(golden_run(model, dataset), want)
+
+    def test_holds_one_batch_at_a_time(self, toy):
+        """The golden pass is bounded by its batch, not by the dataset.
+
+        Bound: `_BUILD_BATCH` samples of the widest layer's working set (its
+        input, and a conv's accumulator and product term, each the size of
+        its output), 8 bytes a sample for the predictions, and 256 KiB for
+        small arrays.  A pass over all 2560 samples at once peaks near
+        53 MiB here; the bound is about 5.5 MiB.
+        """
+        model, small = toy
+        copies = 8
+        dataset = Dataset(samples=np.tile(small.samples, (copies, 1, 1, 1)), labels=np.tile(small.labels, copies),
+                          class_count=small.class_count)
+        golden_run(model, small)  # numpy's lazy imports are not the pass's
+        tracemalloc.start()
+        try:
+            preds = golden_run(model, dataset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(preds, np.tile(golden_run(model, small), copies))
+        widest = max(int(np.prod(model.input_shape_of(i))) + 2 * int(np.prod(model.output_shapes[i]))
+                     for i in range(len(model.layers)))
+        bound = executor_mod._BUILD_BATCH * 4 * widest + 8 * len(dataset) + (256 << 10)
+        assert peak <= bound, f"peak {peak / 2**20:.2f} MiB, bound {bound / 2**20:.2f} MiB"
+
 
 class TestSplitExecution:
     def test_head_plus_tail_matches_full_forward_every_layer(self, toy, tmp_path):
@@ -89,9 +122,9 @@ class TestActivationCache:
         big = build_cache(model, subset, layer, 1 << 26, tmp_path / "big")
         small = build_cache(model, subset, layer, per_sample * 3, tmp_path / "small")
         assert big.chunk_count == 1 and small.chunk_count == 4
-        big_bytes = b"".join(big.chunk_path(k).read_bytes() for k in range(big.chunk_count))
-        small_bytes = b"".join(small.chunk_path(k).read_bytes() for k in range(small.chunk_count))
-        assert big_bytes == small_bytes
+        assert [len(b) for b in _chunk_bytes(small)] == [3 * per_sample] * 3 + [per_sample]
+        assert b"".join(_chunk_bytes(big)) == b"".join(_chunk_bytes(small))
+        assert (big.directory / PAYLOAD_FILE).read_bytes() == (small.directory / PAYLOAD_FILE).read_bytes()
 
     def test_payload_size_arithmetic(self, toy, tmp_path):
         model, dataset = toy
@@ -110,8 +143,8 @@ class TestActivationCache:
         subset = _small_dataset(dataset, 12)
         a = build_cache(model, subset, 2, 4096, tmp_path / "a")
         b = build_cache(model, subset, 2, 4096, tmp_path / "b")
-        for k in range(a.chunk_count):
-            assert a.chunk_path(k).read_bytes() == b.chunk_path(k).read_bytes()
+        assert a.chunk_count > 1
+        assert _chunk_bytes(a) == _chunk_bytes(b)
 
     def test_manifest_round_trip(self, toy, tmp_path):
         model, dataset = toy
@@ -123,12 +156,12 @@ class TestActivationCache:
         model, dataset = toy
         subset = _small_dataset(dataset, 16)
         cache = build_cache(model, subset, 6, 1 << 20, tmp_path / "c")
-        digest_before = [hashlib.sha256(cache.chunk_path(k).read_bytes()).hexdigest() for k in range(cache.chunk_count)]
+        payload = cache.directory / PAYLOAD_FILE
+        digest_before = hashlib.sha256(payload.read_bytes()).hexdigest()
         spec = FaultSpec(mode="layer", target=6, fault="random_value", probability=1.0, seed=3)
         for trial in range(3):
             run_injected_layerwise(model, cache, spec, trial)
-        digest_after = [hashlib.sha256(cache.chunk_path(k).read_bytes()).hexdigest() for k in range(cache.chunk_count)]
-        assert digest_before == digest_after
+        assert hashlib.sha256(payload.read_bytes()).hexdigest() == digest_before
 
 
 class TestLayerwiseInjection:
@@ -283,7 +316,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bitstorm.engine import Dense, Flatten, Model, ReLU
-from bitstorm.executor import CACHE_MANIFEST, GOLDEN_FILE
+from bitstorm.executor import CACHE_MANIFEST, GOLDEN_FILE, PAYLOAD_FILE
 from bitstorm.faults import FAULT_KINDS, RECORD_DTYPE, draw_words, inject_batch
 from bitstorm.toygen import build_toy_cnn
 
@@ -294,7 +327,7 @@ NO_SPILL_BUDGET = 1 << 26
 
 
 def _chunk_bytes(cache):
-    return [cache.chunk_path(k).read_bytes() for k in range(cache.chunk_count)]
+    return [acts.tobytes() for _, acts in cache.iter_chunks()]
 
 
 @pytest.fixture(scope="module")
@@ -350,7 +383,8 @@ class TestOnePass:
         straddled = build_cache(model, subset, 4, per_sample * 5, tmp_path / "straddled")
         assert straddled.chunk_count == 5
         assert _chunk_bytes(straddled) == _chunk_bytes(reference)
-        assert not list((tmp_path / "straddled").glob("*.tmp"))
+        assert sorted(p.name for p in (tmp_path / "straddled").iterdir()) == sorted(
+            [PAYLOAD_FILE, GOLDEN_FILE, CACHE_MANIFEST])
 
 
 class TestCacheKey:
@@ -398,13 +432,13 @@ class TestCrashSafety:
     def test_missing_manifest_is_rebuilt_not_read(self, toy, tmp_path):
         model, subset, budget, cache, original = self._built(toy, tmp_path)
         (cache.directory / CACHE_MANIFEST).unlink()
-        cache.chunk_path(0).write_bytes(bytes(len(original[0])))  # right length, wrong content
+        (cache.directory / PAYLOAD_FILE).write_bytes(bytes(cache.total_bytes))  # right length, wrong content
         rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
         assert _chunk_bytes(rebuilt) == original
 
     def test_wrong_chunk_length_is_rebuilt_not_read(self, toy, tmp_path):
         model, subset, budget, cache, original = self._built(toy, tmp_path)
-        cache.chunk_path(1).write_bytes(original[1][:-4])
+        (cache.directory / PAYLOAD_FILE).write_bytes(b"".join(original)[:-4])
         rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
         assert _chunk_bytes(rebuilt) == original
 
@@ -417,24 +451,55 @@ class TestCrashSafety:
 
     def test_crash_mid_build_leaves_no_manifest(self, toy, tmp_path, monkeypatch):
         model, subset, budget, cache, original = self._built(toy, tmp_path)
-        real = executor_mod.ActivationCache._write_rows
+        real = executor_mod.forward_layer_batch
+        other, _ = build_toy_cnn(8)
         calls = {"n": 0}
 
-        def crash_after_first_piece(self, start, rows):
+        def crash_in_second_batch(layer, x):
             calls["n"] += 1
-            if calls["n"] > 1:
+            if calls["n"] > len(other.layers):
                 raise RuntimeError("simulated crash")
-            return real(self, start, rows)
+            return real(layer, x)
 
-        other, _ = build_toy_cnn(8)
         monkeypatch.setattr(executor_mod, "_BUILD_BATCH", 4)
-        monkeypatch.setattr(executor_mod.ActivationCache, "_write_rows", crash_after_first_piece)
+        monkeypatch.setattr(executor_mod, "forward_layer_batch", crash_in_second_batch)
         with pytest.raises(RuntimeError, match="simulated"):
             layer_caches(other, subset, [2], budget, tmp_path)
         assert not (cache.directory / CACHE_MANIFEST).exists()
+        assert sorted(p.name for p in cache.directory.iterdir()) == [PAYLOAD_FILE, GOLDEN_FILE]  # no .tmp left
+        assert (cache.directory / PAYLOAD_FILE).read_bytes() == b"".join(original)  # the old payload, untouched
         monkeypatch.undo()
         rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
         assert _chunk_bytes(rebuilt) == original
+
+
+    def test_older_format_is_rebuilt_and_its_chunk_files_removed(self, toy, tmp_path):
+        model, subset, budget, cache, original = self._built(toy, tmp_path)
+        manifest = cache.directory / CACHE_MANIFEST
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "format_version": 2}))
+        for name in ("chunk_0.bin", "chunk_1.bin.tmp"):
+            (cache.directory / name).write_bytes(b"old")
+        with pytest.raises(ValidationError, match="cache format 2"):
+            load_cache(cache.directory)
+        rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
+        assert sorted(p.name for p in cache.directory.iterdir()) == sorted([PAYLOAD_FILE, GOLDEN_FILE, CACHE_MANIFEST])
+        assert _chunk_bytes(rebuilt) == original
+
+    def test_budget_below_one_sample_in_a_manifest_is_rejected(self, toy, tmp_path):
+        _, _, _, cache, _ = self._built(toy, tmp_path)
+        manifest = cache.directory / CACHE_MANIFEST
+        doc = json.loads(manifest.read_text())
+        assert "samples_per_chunk" not in doc and "chunk_count" not in doc  # derived, never stored
+        manifest.write_text(json.dumps({**doc, "budget": cache.bytes_per_sample - 1}))
+        with pytest.raises(ValidationError, match="below one sample"):
+            load_cache(cache.directory)
+
+    def test_short_payload_is_an_error_on_read(self, toy, tmp_path):
+        _, _, _, cache, original = self._built(toy, tmp_path)
+        (cache.directory / PAYLOAD_FILE).write_bytes(b"".join(original)[:-4])
+        with pytest.raises(ValidationError, match="manifest promises"):
+            list(cache.iter_chunks())
 
 
 def _full_recompute(model, cache, spec, trial):

@@ -243,6 +243,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match="trials"):
             load_config(tmp_path / "config.json")
 
+    def test_unknown_key_named(self, tmp_path):
+        save_config(_config_doc(trails=2, colour="red"), tmp_path / "config.json")
+        with pytest.raises(ValidationError, match=r"unknown keys \['colour', 'trails'\]"):
+            load_config(tmp_path / "config.json")
+
     def test_missing_key_named(self, tmp_path):
         doc = _config_doc()
         del doc["model"]

@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import bitstorm.executor as executor_mod
+from bitstorm.campaign import CampaignSpec, emit_report, run_stochastic
 from bitstorm.engine import Conv2D, Dense, Flatten, Model, PReLU, ReLU
 from bitstorm.executor import boundary_layers, layer_caches, run_injected_opwise
 from bitstorm.faults import FAULT_KINDS, RECORD_DTYPE, FaultSpec
@@ -139,3 +140,20 @@ class TestMemoryBudget:
             tracemalloc.stop()
         assert records.size > 0
         assert peak <= 2 * BUDGET + slack, f"peak {peak / 2**20:.2f} MiB, bound {(2 * BUDGET + slack) / 2**20:.2f} MiB"
+
+
+class TestWorkers:
+    def test_reports_identical_at_one_and_four_workers(self, toy_prelu, tmp_path):
+        """Concurrent trials read one spilled store; the report does not depend on the worker count."""
+        model, dataset = toy_prelu
+        spec = CampaignSpec(mode="op", targets="all", probabilities=[0.0, 0.3, 1.0], fault="random_value", trials=6,
+                            seed=13, budget=16 << 10)
+        reports = []
+        for workers in (1, 4):
+            result = run_stochastic(spec, model, dataset, workers=workers, cache_root=tmp_path / f"cache{workers}")
+            assert result.cells and all(c.records.size for c in result.cells if c.probability > 0)
+            emit_report(result, tmp_path / f"report{workers}")
+            reports.append({p.name: p.read_bytes() for p in sorted((tmp_path / f"report{workers}").iterdir())})
+        store = executor_mod.load_cache(tmp_path / "cache4" / "cache_layer_0")
+        assert store.chunk_count == 6
+        assert reports[0] == reports[1]
