@@ -2,17 +2,18 @@
 
 Layer-wise campaigns split the model at the injection layer.  The golden
 pass runs every layer once per sample, `_BUILD_BATCH` samples at a time;
-`golden_run` keeps only its predictions, and a cache build appends the
-output of each targeted layer to that layer's payload file, `acts.bin`, and
-stores the predictions beside it.  Trials read a payload in chunks of at
-most `budget` bytes.  A cache is reused only when its content key (format
-version, model, dataset samples, layer and budget) matches exactly.
+`golden_run` keeps only its predictions, and a store build appends the
+output of each targeted layer to that layer's payload file, `layer_<k>.bin`,
+and stores the predictions in the store's one `golden.bin`.  Trials read a
+payload in chunks of at most `budget` bytes.  A store is reused only when
+its content key (format version, model and dataset samples) matches
+exactly; the budget is not part of it.
 
-Every trial corrupts copies of the cached rows its fault hit and replays
+Every trial corrupts copies of the stored rows its fault hit and replays
 the tail only for the rows whose activation the fault actually changed;
 every other row keeps its golden prediction.  This is bit-exact because
 every kernel in `engine` computes each sample from its own row in a fixed
-order.  The cache is never mutated by a trial.
+order.  The store is never mutated by a trial.
 
 A sample's fault depends on (seed, trial, sample, site) and not on the
 probability, which only decides whether the sample is hit.  So the cells of
@@ -35,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,12 +50,11 @@ from .faults import RECORD_DTYPE, FaultSpec, draw_words, inject_batch, uniforms
 from .microops import MicroOpModel, run_microops_batch
 from .model_io import Dataset, replacing
 
-CACHE_MANIFEST = "cache_manifest.json"
-PAYLOAD_FILE = "acts.bin"
+STORE_FILE = "store.json"
 GOLDEN_FILE = "golden.bin"
 
-#: Bumped whenever the on-disk cache layout changes; part of every cache key.
-CACHE_FORMAT_VERSION = 3
+#: Bumped whenever the on-disk store layout changes; part of every store key.
+CACHE_FORMAT_VERSION = 4
 
 #: Cap on how many samples the golden pass pushes through the model at once;
 #: keeps transient compute buffers small.
@@ -102,17 +103,18 @@ def run_tail(model: Model, layer_index: int, activation: np.ndarray) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Activation cache
+# Golden store
 # ---------------------------------------------------------------------------
 
 
-def _content_digest(model: Model, dataset: Dataset) -> str:
-    """sha256 over everything a cache's bytes depend on apart from layer and budget.
+def _store_key(model: Model, dataset: Dataset) -> str:
+    """sha256 over the store format and everything the stored bytes depend on.
 
     That is the model's input shape, every layer's configuration and weight
-    bytes, and the dataset's samples.  Labels do not enter a forward pass.
+    bytes, and the dataset's samples.  Labels do not enter a forward pass,
+    and the budget only sets how a payload is read.
     """
-    h = hashlib.sha256()
+    h = hashlib.sha256(f"bitstorm-store-v{CACHE_FORMAT_VERSION}".encode())
 
     def put(label: str, value):
         if isinstance(value, np.ndarray):
@@ -131,30 +133,26 @@ def _content_digest(model: Model, dataset: Dataset) -> str:
     return h.hexdigest()
 
 
-def _cache_key(content: str, layer: int, budget: int) -> str:
-    """The key a cache manifest must carry to be reused; see _content_digest."""
-    doc = f"bitstorm-cache-v{CACHE_FORMAT_VERSION}\0{content}\0layer={int(layer)}\0budget={int(budget)}"
-    return hashlib.sha256(doc.encode()).hexdigest()
-
-
 @dataclass(eq=False)
 class ActivationCache:
-    """On-disk store of one layer's outputs for an entire dataset, read in chunks.
+    """One stored layer's outputs for an entire dataset, read in chunks.
 
-    `acts.bin` holds the outputs sample-major.  Chunk k is the byte range of
+    `path` holds the outputs sample-major.  Chunk k is the byte range of
     samples [k * samples_per_chunk, (k + 1) * samples_per_chunk), so a chunk
     holds at most `budget` bytes.  `golden` holds the dataset's
     injection-free predictions, which the building pass computed alongside
     the activations.
     """
 
-    directory: Path
+    path: Path
     layer: int
-    sample_count: int
     shape: tuple
     budget: int
-    key: str
     golden: np.ndarray  # (sample_count,) int64, read-only
+
+    @property
+    def sample_count(self) -> int:
+        return self.golden.size
 
     @property
     def bytes_per_sample(self) -> int:
@@ -181,142 +179,103 @@ class ActivationCache:
 
         `indices` limits the read to those chunks (ascending); default all.
         Each chunk takes one seek and one read.  Activation arrays are
-        read-only; trials corrupt copies, never the cache.
+        read-only; trials corrupt copies, never the store.
         """
-        path = self.directory / PAYLOAD_FILE
-        with open(path, "rb") as fh:
+        with open(self.path, "rb") as fh:
             for k in range(self.chunk_count) if indices is None else indices:
                 start = k * self.samples_per_chunk
                 expected = self.chunk_bytes(k)
                 fh.seek(start * self.bytes_per_sample)
                 raw = fh.read(expected)
                 if len(raw) != expected:
-                    raise ValidationError(f"{path}: chunk {k} holds {len(raw)} bytes, manifest promises {expected}")
+                    raise ValidationError(f"{self.path}: chunk {k} holds {len(raw)} bytes, "
+                                          f"manifest promises {expected}")
                 yield start, np.frombuffer(raw, dtype="<f4").reshape((-1, *self.shape))
                 del raw  # a caller that lets go of a chunk never holds two
 
-    def save_manifest(self):
-        doc = {
-            "format_version": CACHE_FORMAT_VERSION,
-            "key": self.key,
-            "layer": self.layer,
-            "sample_count": self.sample_count,
-            "shape": list(self.shape),
-            "dtype": "<f4",
-            "budget": self.budget,
-        }
-        with replacing([self.directory / CACHE_MANIFEST], "wb") as (fh,):
-            fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
 
+def _stored(root: Path, key: str, count: int):
+    """(golden, listed layers) of the store under `root` if it is reusable, else None.
 
-def load_cache(directory) -> ActivationCache:
-    """Read a cache's manifest and golden predictions (activations are read lazily)."""
-    directory = Path(directory)
-    path = directory / CACHE_MANIFEST
-    if not path.is_file():
-        raise ValidationError(f"cache manifest not found: {path}")
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    if doc.get("format_version") != CACHE_FORMAT_VERSION:
-        raise ValidationError(f"{path}: cache format {doc.get('format_version')}, expected {CACHE_FORMAT_VERSION}")
-    sample_count = int(doc["sample_count"])
-    golden = np.frombuffer((directory / GOLDEN_FILE).read_bytes(), dtype="<i8").astype(np.int64, copy=False)
-    if golden.size != sample_count:
-        raise ValidationError(f"{directory / GOLDEN_FILE}: {golden.size} predictions, manifest promises {sample_count}")
-    cache = ActivationCache(directory=directory, layer=int(doc["layer"]), sample_count=sample_count,
-                            shape=tuple(doc["shape"]), budget=int(doc["budget"]), key=str(doc["key"]), golden=golden)
-    if cache.budget < cache.bytes_per_sample:
-        raise ValidationError(f"{path}: budget {cache.budget} bytes is below one sample's activation "
-                              f"({cache.bytes_per_sample} bytes)")
-    return cache
-
-
-def _valid_cache(directory: Path, key: str) -> ActivationCache | None:
-    """The cache in `directory` if its key matches and its payload is whole, else None."""
+    It is reusable when `store.json` carries this format and `key` and
+    `golden.bin` holds `count` predictions.
+    """
     try:
-        cache = load_cache(directory)
-        if cache.key != key or (directory / PAYLOAD_FILE).stat().st_size != cache.total_bytes:
+        doc = json.loads((root / STORE_FILE).read_text(encoding="utf-8"))
+        if (doc["format_version"], doc["key"], doc["sample_count"]) != (CACHE_FORMAT_VERSION, key, count):
             return None
-    except (OSError, ValueError, KeyError, TypeError, ValidationError):
+        golden = np.frombuffer((root / GOLDEN_FILE).read_bytes(), dtype="<i8")  # read-only
+        layers = {int(layer) for layer in doc["layers"]}
+    except (OSError, ValueError, KeyError, TypeError):
         return None
-    return cache
-
-
-def _write_caches(model: Model, dataset: Dataset, directories: dict, budget: int, content: str) -> dict:
-    """One golden pass that builds the cache of every layer in `directories`.
-
-    Each layer's outputs are appended to its payload as the pass produces
-    them.  A crash leaves no manifest, so a half-built cache is never read:
-    the old manifest goes first, every payload and golden prediction file is
-    renamed into place whole once the pass is done, and the manifest is
-    written last.
-    """
-    _check_pairing(model, dataset)
-    caches = {}
-    for layer, directory in directories.items():
-        if not 0 <= layer < len(model.layers):
-            raise ValidationError(f"layer index {layer} out of range for {len(model.layers)} layers")
-        cache = ActivationCache(directory=Path(directory), layer=layer, sample_count=len(dataset),
-                                shape=model.output_shapes[layer], budget=int(budget),
-                                key=_cache_key(content, layer, budget), golden=np.empty(0, dtype=np.int64))
-        if budget < cache.bytes_per_sample:
-            raise ResourceError(f"memory budget {budget} bytes is below one sample's activation "
-                                f"({cache.bytes_per_sample} bytes)")
-        caches[layer] = cache
-    try:
-        for cache in caches.values():
-            cache.directory.mkdir(parents=True, exist_ok=True)
-            (cache.directory / CACHE_MANIFEST).unlink(missing_ok=True)
-            for stale in cache.directory.glob("chunk_*"):  # the per-chunk files of format 2
-                stale.unlink()
-        paths = [cache.directory / name for name in (PAYLOAD_FILE, GOLDEN_FILE) for cache in caches.values()]
-        with replacing(paths, "wb") as files:
-            payloads = dict(zip(caches, files))
-
-            def emit(index, rows):
-                if index in payloads:
-                    payloads[index].write(np.ascontiguousarray(rows, dtype="<f4").data)
-
-            golden = _golden_pass(model, dataset, emit)
-            for fh in files[len(caches):]:
-                fh.write(golden.astype("<i8").tobytes())
-        golden.flags.writeable = False
-        for cache in caches.values():
-            cache.golden = golden
-            cache.save_manifest()
-    except OSError as exc:
-        raise ResourceError(f"failed to write an activation cache: {exc}") from None
-    return caches
-
-
-def build_cache(model: Model, dataset: Dataset, layer: int, budget: int, directory) -> ActivationCache:
-    """Run the model once and persist one layer's outputs, read back in chunks within `budget`.
-
-    Each chunk holds at most `budget // bytes_per_sample` samples; a larger
-    dataset spills into further chunks of the same payload file, read back
-    sequentially during replay.
-    """
-    return _write_caches(model, dataset, {layer: directory}, budget, _content_digest(model, dataset))[layer]
+    return (golden, layers) if golden.size == count else None
 
 
 def layer_caches(model: Model, dataset: Dataset, layers, budget: int, cache_root) -> dict:
-    """The cache of every layer in `layers` under `cache_root/cache_layer_<k>`.
+    """The golden outputs of every layer in `layers`, stored under `cache_root`.
 
-    A cache whose key matches is reused; all others are built by a single
-    forward pass.  Returns {layer: ActivationCache}.
+    The store is one `store.json`, one `golden.bin` and a `layer_<k>.bin`
+    payload per stored layer.  A reusable store's whole layers are read as
+    they are; one forward pass builds every requested layer that is not, and
+    adds it to the store.  `budget` only sets how many samples a chunk read
+    holds, so it never causes a pass.  Returns {layer: ActivationCache}.
+
+    A crash leaves no manifest, so a half-built store is never read: the
+    manifest goes first, the new payloads and `golden.bin` are renamed into
+    place whole once the pass is done, and the manifest is written last.
     """
     _check_pairing(model, dataset)
-    content = _content_digest(model, dataset)
-    caches, missing = {}, {}
+    layers = list(layers)
+    root = Path(cache_root)
+    views = {k: ActivationCache(path=root / f"layer_{k}.bin", layer=k, shape=shape, budget=int(budget),
+                                golden=np.empty(0, dtype=np.int64))
+             for k, shape in enumerate(model.output_shapes)}
     for layer in layers:
-        directory = Path(cache_root) / f"cache_layer_{layer}"
-        cache = _valid_cache(directory, _cache_key(content, layer, budget))
-        if cache is None:
-            missing[layer] = directory
-        else:
-            caches[layer] = cache
+        if layer not in views:
+            raise ValidationError(f"layer index {layer} out of range for {len(model.layers)} layers")
+        if budget < views[layer].bytes_per_sample:
+            raise ResourceError(f"memory budget {budget} bytes is below one sample's activation "
+                                f"({views[layer].bytes_per_sample} bytes)")
+    key = _store_key(model, dataset)
+    stored = _stored(root, key, len(dataset))
+    golden, listed = stored or (None, set())
+    sizes = {path.name: path.stat().st_size for path in root.glob("layer_*.bin")}
+    whole = {k for k in listed if k in views
+             and sizes.get(views[k].path.name) == len(dataset) * views[k].bytes_per_sample}
+    missing = sorted(set(layers) - whole)
     if missing:
-        caches.update(_write_caches(model, dataset, missing, budget, content))
-    return {layer: caches[layer] for layer in layers}
+        try:
+            root.mkdir(parents=True, exist_ok=True)
+            (root / STORE_FILE).unlink(missing_ok=True)
+            if stored is None:  # payloads of another store, and the per-layer directories of format 3
+                for stale in root.glob("layer_*.bin"):
+                    stale.unlink()
+                for manifest in root.glob("cache_layer_*/cache_manifest.json"):
+                    shutil.rmtree(manifest.parent)
+            with replacing([views[k].path for k in missing] + [root / GOLDEN_FILE], "wb") as files:
+                payloads = dict(zip(missing, files))
+
+                def emit(index, rows):
+                    if index in payloads:
+                        payloads[index].write(np.ascontiguousarray(rows, dtype="<f4").data)
+
+                golden = _golden_pass(model, dataset, emit)
+                files[-1].write(golden.astype("<i8").tobytes())
+            golden.flags.writeable = False
+            doc = {"format_version": CACHE_FORMAT_VERSION, "key": key, "sample_count": len(dataset),
+                   "layers": sorted(whole.union(missing))}
+            with replacing([root / STORE_FILE], "wb") as (fh,):
+                fh.write((json.dumps(doc, indent=2, sort_keys=True) + "\n").encode())
+        except OSError as exc:
+            raise ResourceError(f"failed to write the golden store: {exc}") from None
+    for layer in layers:
+        views[layer].golden = golden
+    return {layer: views[layer] for layer in layers}
+
+
+def build_cache(model: Model, dataset: Dataset, layer: int, budget: int, directory) -> ActivationCache:
+    """The golden outputs of one layer, stored under `directory`; see layer_caches."""
+    return layer_caches(model, dataset, [layer], budget, directory)[layer]
 
 
 # ---------------------------------------------------------------------------

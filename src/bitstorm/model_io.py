@@ -17,6 +17,7 @@ converts or rounds.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import os
 import struct
@@ -112,28 +113,31 @@ def _layer_from_entry(entry: dict, index: int, blob: _BlobReader):
 
 
 def load_model(manifest_path) -> Model:
-    """Load and shape-validate a model from its JSON manifest."""
+    """Load and shape-validate a model from its JSON manifest; a malformed one is a ValidationError naming it."""
     manifest_path = Path(manifest_path)
     if not manifest_path.is_file():
         raise ValidationError(f"model manifest not found: {manifest_path}")
     try:
         doc = json.loads(manifest_path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ValidationError("expected a JSON object")
+        version = doc.get("format_version", FORMAT_VERSION)
+        if version != FORMAT_VERSION:
+            raise ValidationError(f"unsupported format_version {version}")
+        weights_path = manifest_path.parent / _require(doc, "weights_file", "top level")
+        if not weights_path.is_file():
+            raise ValidationError(f"weight blob not found: {weights_path}")
+        blob = _BlobReader(weights_path.read_bytes(), weights_path)
+        input_shape = tuple(_require(doc, "input_shape", "top level"))
+        entries = _require(doc, "layers", "top level")
+        layers = [_layer_from_entry(entry, i, blob) for i, entry in enumerate(entries)]
+        return Model(input_shape=input_shape, layers=layers)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{manifest_path}: malformed JSON at line {exc.lineno}: {exc.msg}") from None
-    version = doc.get("format_version", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
-        raise ValidationError(f"{manifest_path}: unsupported format_version {version}")
-    weights_path = manifest_path.parent / _require(doc, "weights_file", str(manifest_path))
-    if not weights_path.is_file():
-        raise ValidationError(f"weight blob not found: {weights_path}")
-    blob = _BlobReader(weights_path.read_bytes(), weights_path)
-    input_shape = tuple(_require(doc, "input_shape", str(manifest_path)))
-    entries = _require(doc, "layers", str(manifest_path))
-    layers = [_layer_from_entry(entry, i, blob) for i, entry in enumerate(entries)]
-    try:
-        return Model(input_shape=input_shape, layers=layers)
     except ValidationError as exc:
         raise ValidationError(f"{manifest_path}: {exc}") from None
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ValidationError(f"{manifest_path}: malformed model ({type(exc).__name__}: {exc})") from None
 
 
 def _weight_arrays(layer):
@@ -256,9 +260,11 @@ def load_dataset(directory, class_count: int | None = None) -> Dataset:
     version, count, rank = struct.unpack_from("<III", raw, 4)
     if version != FORMAT_VERSION:
         raise ValidationError(f"{samples_path}: unsupported version {version}")
-    extents = struct.unpack_from(f"<{rank}I", raw, 16)
     offset = 16 + 4 * rank
-    expected = count * int(np.prod(extents)) * 4
+    if len(raw) < offset:
+        raise ValidationError(f"{samples_path}: header declares rank {rank}, longer than the file ({len(raw)} bytes)")
+    extents = struct.unpack_from(f"<{rank}I", raw, 16)
+    expected = count * math.prod(extents) * 4
     if len(raw) - offset != expected:
         raise ValidationError(
             f"{samples_path}: payload is {len(raw) - offset} bytes, header promises {expected}"
@@ -300,8 +306,8 @@ class CampaignSpec:
     The one implementation of the campaign rules: config.json, CLI overrides
     (through dataclasses.replace) and direct construction all pass through
     __post_init__ before any model pass.  `targets` ends up "all" or a
-    non-empty list (a scalar becomes a one-element list) and `probabilities`
-    sorted without duplicates.
+    non-empty list without repeats (a scalar becomes a one-element list) and
+    `probabilities` sorted without duplicates.
     """
 
     mode: str  # "op" | "layer"
@@ -329,6 +335,9 @@ class CampaignSpec:
                 raise ValidationError("layer-wise target must name at least one layer")
             else:
                 targets = [check_int(t, "layer target", 0) for t in targets]
+            repeated = next((t for i, t in enumerate(targets) if t in targets[:i]), None)
+            if repeated is not None:
+                raise ValidationError(f"target {repeated!r} is named more than once")
             self.targets = targets
         if not isinstance(self.probabilities, (list, tuple)) or not self.probabilities:
             raise ValidationError(

@@ -4,7 +4,9 @@ import fcntl
 import json
 import os
 import resource
+import shutil
 import signal
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -15,8 +17,8 @@ import pytest
 import bitstorm
 from bitstorm.cli import EXIT_OK, EXIT_RESOURCE, EXIT_VALIDATION, _locked, main
 from bitstorm.errors import ResourceError
-from bitstorm.executor import load_cache
-from bitstorm.model_io import Dataset, load_dataset, save_config, save_dataset
+from bitstorm.executor import layer_caches
+from bitstorm.model_io import Dataset, load_dataset, load_model, save_config, save_dataset
 
 
 @pytest.fixture(scope="module")
@@ -103,14 +105,14 @@ class TestCache:
         assert main(["cache", "--config", str(config)]) == EXIT_OK
         out = capsys.readouterr().out
         assert f"{10 * 512 * 4} bytes" in out
-        payload = tmp_path / "c" / "caches" / "cache_layer_3" / "acts.bin"
+        payload = tmp_path / "c" / "caches" / "layer_3.bin"
         assert payload.stat().st_size == 10 * 512 * 4
 
     def test_budget_below_one_activation_exits_3(self, toy_dir, tmp_path):
         config = _write_config(tmp_path / "config.json", toy_dir, target=[3], out_dir=str(tmp_path / "c"))
         assert main(["cache", "--config", str(config), "--budget", "64"]) == EXIT_RESOURCE
 
-    def test_budget_override_sets_samples_per_chunk(self, toy_dir, tmp_path):
+    def test_budget_override_sets_samples_per_chunk(self, toy_dir, tmp_path, capsys):
         # layer 3 outputs [8, 8, 8]: 2048 bytes a sample, so the budget holds 3 samples a chunk
         ds = load_dataset(toy_dir / "dataset")
         small = Dataset(samples=ds.samples[:10], labels=ds.labels[:10], class_count=ds.class_count)
@@ -120,13 +122,13 @@ class TestCache:
         per_sample = 512 * 4
         budget = 3 * per_sample + 7
         assert main(["cache", "--config", str(config), "--budget", str(budget)]) == EXIT_OK
-        cache_dir = tmp_path / "c" / "caches" / "cache_layer_3"
-        assert sorted(p.name for p in cache_dir.iterdir()) == ["acts.bin", "cache_manifest.json", "golden.bin"]
-        cache = load_cache(cache_dir)
+        assert f"{10 * per_sample} bytes in 4 chunk(s)" in capsys.readouterr().out
+        root = tmp_path / "c" / "caches"
+        assert sorted(p.name for p in root.iterdir()) == ["golden.bin", "layer_3.bin", "store.json"]
+        cache = layer_caches(load_model(toy_dir / "model.json"), small, [3], budget, root)[3]
         assert (cache.samples_per_chunk, cache.chunk_count) == (3, 4)
         assert [acts.nbytes for _, acts in cache.iter_chunks()] == [3 * per_sample] * 3 + [per_sample]
-        manifest = json.loads((cache_dir / "cache_manifest.json").read_text())
-        assert manifest["budget"] == budget
+        assert "budget" not in json.loads((root / "store.json").read_text())  # a read size, never stored
 
     def test_opwise_config_is_usage_error(self, toy_dir, tmp_path):
         config = _write_config(tmp_path / "config.json", toy_dir, mode="op", target=["Add"],
@@ -136,7 +138,7 @@ class TestCache:
     def test_rebuild_byte_identical(self, toy_dir, tmp_path):
         config = _write_config(tmp_path / "config.json", toy_dir, target=[2], out_dir=str(tmp_path / "c"))
         assert main(["cache", "--config", str(config)]) == EXIT_OK
-        payload = tmp_path / "c" / "caches" / "cache_layer_2" / "acts.bin"
+        payload = tmp_path / "c" / "caches" / "layer_2.bin"
         first = payload.read_bytes()
         assert main(["cache", "--config", str(config)]) == EXIT_OK
         assert payload.read_bytes() == first
@@ -176,7 +178,7 @@ class TestCampaign:
         assert main(["campaign", "--config", str(config), "--out", str(out)]) == EXIT_OK
         for name in ("summary.json", "accuracy.csv", "cma.csv", "records.csv", "layers.csv", "run.log"):
             assert (out / name).is_file(), name
-        assert (out / "caches" / "cache_layer_2" / "cache_manifest.json").is_file()
+        assert (out / "caches" / "store.json").is_file()
         assert not (tmp_path / "r").exists()
 
     def test_opwise_campaign_on_prelu_toy(self, tmp_path):
@@ -328,6 +330,37 @@ class TestLocking:
                 pass
 
 
+def _set_first_conv(field, value):
+    def edit(doc):
+        doc["layers"][0][field] = value
+        return doc
+    return edit
+
+
+#: Malformed model manifests and dataset headers: (file, edit of the parsed manifest or new file bytes).
+MALFORMED = {
+    "stride 2": ("model.json", _set_first_conv("stride", 2)),
+    "kernel 5": ("model.json", _set_first_conv("kernel", 5)),
+    "layers 3": ("model.json", lambda doc: {**doc, "layers": 3}),
+    "manifest is a list": ("model.json", lambda doc: [doc]),
+    "samples rank 1000": ("samples.bin", struct.pack("<4sIII", b"BSDS", 1, 1, 1000).ljust(64, b"\0")),
+}
+
+
+@pytest.mark.parametrize("name, edit", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_input_exits_2_naming_the_file(toy_dir, tmp_path, capsys, name, edit):
+    ws = tmp_path / "ws"
+    shutil.copytree(toy_dir, ws)
+    if name == "model.json":
+        (ws / name).write_text(json.dumps(edit(json.loads((ws / name).read_text()))))
+    else:
+        (ws / "dataset" / name).write_bytes(edit)
+    config = _write_config(tmp_path / "config.json", ws, out_dir=str(tmp_path / "g"))
+    assert main(["golden", "--config", str(config)]) == EXIT_VALIDATION
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "g").exists()
+
+
 class TestInvalidInputs:
     def test_bad_config_exits_2(self, toy_dir, tmp_path):
         config = _write_config(tmp_path / "config.json", toy_dir, probabilities=[2.0])
@@ -382,18 +415,19 @@ class TestCacheOnePass:
         save_dataset(small, tmp_path / "ds12")
         config = _write_config(tmp_path / "config.json", toy_dir, dataset=str(tmp_path / "ds12"),
                                target="all", probabilities=[0.5], trials=2, out_dir=str(tmp_path / "r"))
-        real = executor_mod._write_caches
+        real = executor_mod._golden_pass
         passes = []
 
-        def counting(model, dataset, directories, budget, content):
-            passes.append(sorted(directories))
-            return real(model, dataset, directories, budget, content)
+        def counting(*args, **kwargs):
+            passes.append(args)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(executor_mod, "_write_caches", counting)
+        monkeypatch.setattr(executor_mod, "_golden_pass", counting)
         assert main(["cache", "--config", str(config)]) == EXIT_OK
-        assert passes == [list(range(12))]
-        for layer in range(12):
-            directory = tmp_path / "r" / "caches" / f"cache_layer_{layer}"
-            assert (directory / "cache_manifest.json").is_file() and (directory / "golden.bin").is_file()
-        assert main(["campaign", "--config", str(config)]) == EXIT_OK
-        assert len(passes) == 1  # every cache was reused
+        assert len(passes) == 1
+        root = tmp_path / "r" / "caches"
+        assert json.loads((root / "store.json").read_text())["layers"] == list(range(12))
+        assert sorted(p.name for p in root.iterdir()) == sorted(
+            ["store.json", "golden.bin", *(f"layer_{layer}.bin" for layer in range(12))])
+        assert main(["campaign", "--config", str(config), "--budget", "65536"]) == EXIT_OK
+        assert len(passes) == 1  # every layer was reused, at another budget too

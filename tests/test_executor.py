@@ -19,7 +19,6 @@ from bitstorm.executor import (
     build_cache,
     golden_run,
     layer_caches,
-    load_cache,
     run_injected_layerwise,
     run_injected_opwise,
     run_tail,
@@ -124,7 +123,7 @@ class TestActivationCache:
         assert big.chunk_count == 1 and small.chunk_count == 4
         assert [len(b) for b in _chunk_bytes(small)] == [3 * per_sample] * 3 + [per_sample]
         assert b"".join(_chunk_bytes(big)) == b"".join(_chunk_bytes(small))
-        assert (big.directory / PAYLOAD_FILE).read_bytes() == (small.directory / PAYLOAD_FILE).read_bytes()
+        assert big.path.read_bytes() == small.path.read_bytes()
 
     def test_payload_size_arithmetic(self, toy, tmp_path):
         model, dataset = toy
@@ -146,17 +145,24 @@ class TestActivationCache:
         assert a.chunk_count > 1
         assert _chunk_bytes(a) == _chunk_bytes(b)
 
-    def test_manifest_round_trip(self, toy, tmp_path):
+    def test_manifest_round_trip(self, toy, tmp_path, monkeypatch):
         model, dataset = toy
-        built = build_cache(model, _small_dataset(dataset, 8), 5, 1 << 20, tmp_path / "c")
-        loaded = load_cache(tmp_path / "c")
-        assert (loaded.layer, loaded.sample_count, loaded.shape) == (built.layer, built.sample_count, built.shape)
+        subset = _small_dataset(dataset, 8)
+        built = build_cache(model, subset, 5, 1 << 20, tmp_path)
+        passes = _count_passes(monkeypatch)
+        loaded = layer_caches(model, subset, [5], 1 << 20, tmp_path)[5]
+        assert not passes
+        assert (loaded.path, loaded.layer, loaded.sample_count, loaded.shape) == (
+            built.path, built.layer, built.sample_count, built.shape)
+        doc = json.loads((tmp_path / STORE_FILE).read_text())
+        assert sorted(doc) == ["format_version", "key", "layers", "sample_count"]  # chunking is derived, never stored
+        assert (doc["format_version"], doc["sample_count"], doc["layers"]) == (4, 8, [5])
 
     def test_trials_leave_chunks_byte_identical(self, toy, tmp_path):
         model, dataset = toy
         subset = _small_dataset(dataset, 16)
         cache = build_cache(model, subset, 6, 1 << 20, tmp_path / "c")
-        payload = cache.directory / PAYLOAD_FILE
+        payload = cache.path
         digest_before = hashlib.sha256(payload.read_bytes()).hexdigest()
         spec = FaultSpec(mode="layer", target=6, fault="random_value", probability=1.0, seed=3)
         for trial in range(3):
@@ -316,7 +322,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bitstorm.engine import Dense, Flatten, Model, ReLU
-from bitstorm.executor import CACHE_MANIFEST, GOLDEN_FILE, PAYLOAD_FILE
+from bitstorm.executor import GOLDEN_FILE, STORE_FILE
 from bitstorm.faults import FAULT_KINDS, RECORD_DTYPE, draw_words, inject_batch
 from bitstorm.toygen import build_toy_cnn
 
@@ -328,6 +334,19 @@ NO_SPILL_BUDGET = 1 << 26
 
 def _chunk_bytes(cache):
     return [acts.tobytes() for _, acts in cache.iter_chunks()]
+
+
+def _count_passes(monkeypatch):
+    """Patch the golden pass to record its calls; returns the (growing) list of calls."""
+    calls = []
+    real = executor_mod._golden_pass
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(executor_mod, "_golden_pass", counting)
+    return calls
 
 
 @pytest.fixture(scope="module")
@@ -372,7 +391,15 @@ class TestOnePass:
         for caches in toy_caches.values():
             for layer, cache in caches.items():
                 assert np.array_equal(cache.golden, golden), f"layer {layer}"
-                assert np.array_equal(load_cache(cache.directory).golden, golden), f"layer {layer}"
+            stored = np.fromfile(caches[0].path.parent / GOLDEN_FILE, dtype="<i8")
+            assert np.array_equal(stored, golden)
+
+    def test_store_holds_one_manifest_and_one_golden(self, toy, toy_caches):
+        model, _ = toy
+        for caches in toy_caches.values():
+            names = sorted(p.name for p in caches[0].path.parent.iterdir())
+            assert len(names) == 14
+            assert names == sorted([STORE_FILE, GOLDEN_FILE, *(f"layer_{k}.bin" for k in range(len(model.layers)))])
 
     def test_chunks_straddling_pass_batches(self, toy, tmp_path, monkeypatch):
         model, dataset = toy
@@ -384,7 +411,7 @@ class TestOnePass:
         assert straddled.chunk_count == 5
         assert _chunk_bytes(straddled) == _chunk_bytes(reference)
         assert sorted(p.name for p in (tmp_path / "straddled").iterdir()) == sorted(
-            [PAYLOAD_FILE, GOLDEN_FILE, CACHE_MANIFEST])
+            ["layer_4.bin", GOLDEN_FILE, STORE_FILE])
 
 
 class TestCacheKey:
@@ -392,19 +419,18 @@ class TestCacheKey:
         model, dataset = toy
         subset = _small_dataset(dataset, 16)
         layer_caches(model, subset, [1, 6], 1 << 20, tmp_path)
-
-        def no_pass(*args, **kwargs):
-            raise AssertionError("a valid cache was rebuilt")
-
-        monkeypatch.setattr(executor_mod, "_write_caches", no_pass)
+        passes = _count_passes(monkeypatch)
         caches = layer_caches(model, subset, [6, 1], 1 << 20, tmp_path)
         assert list(caches) == [6, 1]
+        assert not passes
 
     @pytest.mark.parametrize("change", ["weights", "samples", "budget"])
-    def test_any_input_change_rebuilds(self, toy, tmp_path, change):
+    def test_any_input_change_rebuilds(self, toy, tmp_path, monkeypatch, change):
+        """A new model or new samples run a pass; a new budget only reads the stored payload in other chunks."""
         model, dataset = toy
         subset = _small_dataset(dataset, 16)
         first = layer_caches(model, subset, [5], 1 << 20, tmp_path)[5]
+        key = json.loads((tmp_path / STORE_FILE).read_text())["key"]
         budget = 1 << 20
         if change == "weights":
             model, _ = build_toy_cnn(8)
@@ -413,9 +439,14 @@ class TestCacheKey:
                                             class_count=dataset.class_count), 16)
         else:
             budget = first.bytes_per_sample * 3
+        passes = _count_passes(monkeypatch)
         second = layer_caches(model, subset, [5], budget, tmp_path)[5]
-        assert second.key != first.key
-        assert load_cache(tmp_path / "cache_layer_5").key == second.key
+        assert len(passes) == (change != "budget")
+        assert (json.loads((tmp_path / STORE_FILE).read_text())["key"] == key) == (change == "budget")
+        if change == "budget":
+            assert (first.chunk_count, second.chunk_count) == (1, 6)
+            assert b"".join(_chunk_bytes(second)) == b"".join(_chunk_bytes(first))
+        monkeypatch.undo()
         fresh = build_cache(model, subset, 5, budget, tmp_path / "fresh")
         assert _chunk_bytes(second) == _chunk_bytes(fresh)
         assert np.array_equal(second.golden, golden_run(model, subset))
@@ -431,75 +462,119 @@ class TestCrashSafety:
 
     def test_missing_manifest_is_rebuilt_not_read(self, toy, tmp_path):
         model, subset, budget, cache, original = self._built(toy, tmp_path)
-        (cache.directory / CACHE_MANIFEST).unlink()
-        (cache.directory / PAYLOAD_FILE).write_bytes(bytes(cache.total_bytes))  # right length, wrong content
+        (tmp_path / STORE_FILE).unlink()
+        cache.path.write_bytes(bytes(cache.total_bytes))  # right length, wrong content
         rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
         assert _chunk_bytes(rebuilt) == original
 
     def test_wrong_chunk_length_is_rebuilt_not_read(self, toy, tmp_path):
         model, subset, budget, cache, original = self._built(toy, tmp_path)
-        (cache.directory / PAYLOAD_FILE).write_bytes(b"".join(original)[:-4])
+        cache.path.write_bytes(b"".join(original)[:-4])
         rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
         assert _chunk_bytes(rebuilt) == original
 
     def test_missing_golden_is_rebuilt(self, toy, tmp_path):
         model, subset, budget, cache, original = self._built(toy, tmp_path)
-        (cache.directory / GOLDEN_FILE).unlink()
+        (tmp_path / GOLDEN_FILE).unlink()
         rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
         assert np.array_equal(rebuilt.golden, golden_run(model, subset))
         assert _chunk_bytes(rebuilt) == original
 
     def test_crash_mid_build_leaves_no_manifest(self, toy, tmp_path, monkeypatch):
-        model, subset, budget, cache, original = self._built(toy, tmp_path)
+        root = tmp_path / "store"
+        model, subset, budget, cache, original = self._built(toy, root)
         real = executor_mod.forward_layer_batch
+
+        def crash_in_second_batch(model, layers):
+            calls = {"n": 0}
+
+            def forward(layer, x):
+                calls["n"] += 1
+                if calls["n"] > len(model.layers):
+                    raise RuntimeError("simulated crash")
+                return real(layer, x)
+
+            monkeypatch.setattr(executor_mod, "_BUILD_BATCH", 4)
+            monkeypatch.setattr(executor_mod, "forward_layer_batch", forward)
+            with pytest.raises(RuntimeError, match="simulated"):
+                layer_caches(model, subset, layers, budget, root)
+            monkeypatch.undo()
+            return sorted(p.name for p in root.iterdir())
+
+        # Extending the store: the old payload stays, the manifest and every .tmp file are gone.
+        assert crash_in_second_batch(model, [2, 5]) == [GOLDEN_FILE, "layer_2.bin"]
+        assert cache.path.read_bytes() == b"".join(original)
+        both = layer_caches(model, subset, [2, 5], budget, root)
+        for layer in (2, 5):
+            fresh = build_cache(model, subset, layer, budget, tmp_path / f"fresh{layer}")
+            assert _chunk_bytes(both[layer]) == _chunk_bytes(fresh), f"layer {layer}"
+
+        # Replacing it by another model's: its payloads go before the pass, so nothing stale is left to read.
         other, _ = build_toy_cnn(8)
-        calls = {"n": 0}
-
-        def crash_in_second_batch(layer, x):
-            calls["n"] += 1
-            if calls["n"] > len(other.layers):
-                raise RuntimeError("simulated crash")
-            return real(layer, x)
-
-        monkeypatch.setattr(executor_mod, "_BUILD_BATCH", 4)
-        monkeypatch.setattr(executor_mod, "forward_layer_batch", crash_in_second_batch)
-        with pytest.raises(RuntimeError, match="simulated"):
-            layer_caches(other, subset, [2], budget, tmp_path)
-        assert not (cache.directory / CACHE_MANIFEST).exists()
-        assert sorted(p.name for p in cache.directory.iterdir()) == [PAYLOAD_FILE, GOLDEN_FILE]  # no .tmp left
-        assert (cache.directory / PAYLOAD_FILE).read_bytes() == b"".join(original)  # the old payload, untouched
-        monkeypatch.undo()
-        rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
+        assert crash_in_second_batch(other, [2]) == [GOLDEN_FILE]
+        rebuilt = layer_caches(model, subset, [2], budget, root)[2]
         assert _chunk_bytes(rebuilt) == original
 
-
-    def test_older_format_is_rebuilt_and_its_chunk_files_removed(self, toy, tmp_path):
-        model, subset, budget, cache, original = self._built(toy, tmp_path)
-        manifest = cache.directory / CACHE_MANIFEST
-        doc = json.loads(manifest.read_text())
-        manifest.write_text(json.dumps({**doc, "format_version": 2}))
-        for name in ("chunk_0.bin", "chunk_1.bin.tmp"):
-            (cache.directory / name).write_bytes(b"old")
-        with pytest.raises(ValidationError, match="cache format 2"):
-            load_cache(cache.directory)
-        rebuilt = layer_caches(model, subset, [2], budget, tmp_path)[2]
-        assert sorted(p.name for p in cache.directory.iterdir()) == sorted([PAYLOAD_FILE, GOLDEN_FILE, CACHE_MANIFEST])
-        assert _chunk_bytes(rebuilt) == original
-
-    def test_budget_below_one_sample_in_a_manifest_is_rejected(self, toy, tmp_path):
-        _, _, _, cache, _ = self._built(toy, tmp_path)
-        manifest = cache.directory / CACHE_MANIFEST
-        doc = json.loads(manifest.read_text())
-        assert "samples_per_chunk" not in doc and "chunk_count" not in doc  # derived, never stored
-        manifest.write_text(json.dumps({**doc, "budget": cache.bytes_per_sample - 1}))
-        with pytest.raises(ValidationError, match="below one sample"):
-            load_cache(cache.directory)
+    def test_older_format_is_rebuilt_and_its_directories_removed(self, toy, tmp_path):
+        model, dataset = toy
+        subset = _small_dataset(dataset, 12)
+        for name in ("cache_layer_2", "cache_layer_7"):  # format 3 (and 2, with its chunk files)
+            (tmp_path / name).mkdir()
+            for file in ("cache_manifest.json", "acts.bin", "golden.bin", "chunk_0.bin.tmp"):
+                (tmp_path / name / file).write_bytes(b"old")
+        (tmp_path / "cache_layer_9").mkdir()  # no manifest: not a cache, kept
+        (tmp_path / "layer_7.bin").write_bytes(b"old")  # a payload no manifest vouches for
+        cache = layer_caches(model, subset, [2], 1 << 20, tmp_path)[2]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted([STORE_FILE, GOLDEN_FILE, "layer_2.bin",
+                                                                     "cache_layer_9"])
+        assert _chunk_bytes(cache) == _chunk_bytes(build_cache(model, subset, 2, 1 << 20, tmp_path / "fresh"))
 
     def test_short_payload_is_an_error_on_read(self, toy, tmp_path):
         _, _, _, cache, original = self._built(toy, tmp_path)
-        (cache.directory / PAYLOAD_FILE).write_bytes(b"".join(original)[:-4])
+        cache.path.write_bytes(b"".join(original)[:-4])
         with pytest.raises(ValidationError, match="manifest promises"):
             list(cache.iter_chunks())
+
+
+class TestStoreSequences:
+    """Random sequences of layer_caches calls on one root: how the manifest merges old and new layers."""
+
+    @pytest.fixture(scope="class")
+    def references(self, toy, tmp_path_factory):
+        """{which: (model, dataset, golden, {layer: joined payload bytes of a fresh build_cache})}."""
+        out = {}
+        for which, (model, dataset) in {"toy": (toy[0], _small_dataset(toy[1], 24)), "relu": _relu_model()}.items():
+            root = tmp_path_factory.mktemp(f"fresh_{which}")
+            builds = {k: build_cache(model, dataset, k, NO_SPILL_BUDGET, root / str(k))
+                      for k in range(len(model.layers))}
+            fresh = {k: b"".join(_chunk_bytes(cache)) for k, cache in builds.items()}
+            out[which] = model, dataset, golden_run(model, dataset), fresh
+        return out
+
+    @given(which=st.sampled_from(["toy", "relu"]),
+           calls=st.lists(st.tuples(st.lists(st.integers(0, 11), min_size=1, max_size=4), st.integers(1, 24),
+                                    st.integers(0, 3)), min_size=1, max_size=5))
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_every_call_equals_fresh_builds(self, references, tmp_path_factory, monkeypatch, which, calls):
+        model, dataset, golden, fresh = references[which]
+        root = tmp_path_factory.mktemp("store")
+        stored = set()
+        with monkeypatch.context() as patch:
+            passes = _count_passes(patch)
+            for picks, rows, slack in calls:
+                layers = list(dict.fromkeys(k % len(model.layers) for k in picks))
+                # from one sample of the widest requested layer a chunk up to every sample (no spill)
+                budget = rows * max(4 * int(np.prod(model.output_shapes[k])) for k in layers) + slack
+                before = len(passes)
+                caches = layer_caches(model, dataset, layers, budget, root)
+                assert len(passes) - before == (not stored.issuperset(layers))
+                stored.update(layers)
+                assert list(caches) == layers
+                for layer, cache in caches.items():
+                    assert b"".join(_chunk_bytes(cache)) == fresh[layer], f"layer {layer}"
+                    assert cache.samples_per_chunk == min(budget // cache.bytes_per_sample, len(dataset))
+                    assert np.array_equal(cache.golden, golden)
+                assert json.loads((root / STORE_FILE).read_text())["layers"] == sorted(stored)
 
 
 def _full_recompute(model, cache, spec, trial):

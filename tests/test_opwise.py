@@ -154,6 +154,6 @@ class TestWorkers:
             assert result.cells and all(c.records.size for c in result.cells if c.probability > 0)
             emit_report(result, tmp_path / f"report{workers}")
             reports.append({p.name: p.read_bytes() for p in sorted((tmp_path / f"report{workers}").iterdir())})
-        store = executor_mod.load_cache(tmp_path / "cache4" / "cache_layer_0")
+        store = layer_caches(model, dataset, [0], spec.budget, tmp_path / "cache4")[0]
         assert store.chunk_count == 6
         assert reports[0] == reports[1]

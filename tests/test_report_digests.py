@@ -20,7 +20,7 @@ from bitstorm.campaign import (
     emit_report,
     run_stochastic,
 )
-from bitstorm.executor import load_cache
+from bitstorm.executor import layer_caches
 from bitstorm.model_io import Dataset
 
 REPORT_FILES = (SUMMARY_FILE, ACCURACY_FILE, CMA_FILE, RECORDS_FILE, LAYERS_FILE)
@@ -66,5 +66,6 @@ def test_report_digests_pinned(toy, toy_prelu, tmp_path, name):
         spec = CampaignSpec(**OPWISE)
     assert _report_digests(spec, model, dataset, tmp_path) == DIGESTS[name]
     if name == "layerwise":
-        chunks = {t: load_cache(tmp_path / "caches" / f"cache_layer_{t}").chunk_count for t in spec.targets}
+        chunks = {t: c.chunk_count for t, c in layer_caches(model, dataset, spec.targets, spec.budget,
+                                                            tmp_path / "caches").items()}
         assert chunks == {1: 8, 6: 1, 9: 1}

@@ -40,6 +40,8 @@ CASES = {
     "empty op targets": dict(mode="op", targets=[]),
     "unknown op kind": dict(mode="op", targets=["Conv"]),
     "negative layer target": dict(targets=[-1]),
+    "repeated layer target": dict(targets=[3, 3]),
+    "repeated op kind": dict(mode="op", targets=["Add", "Mul", "Add"]),
 }
 
 
