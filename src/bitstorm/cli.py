@@ -39,6 +39,7 @@ from .campaign import (
 )
 from .errors import BitstormError, ResourceError, ValidationError
 from .executor import golden_run, layer_caches
+from .faults import check_u64
 from .model_io import load_config, load_dataset, load_model, replacing
 from . import toygen
 
@@ -204,14 +205,11 @@ def cmd_report(args, console: Console) -> int:
 
 def cmd_gen_toy(args, console: Console) -> int:
     out = Path(args.out)
+    seed = check_u64(toygen.DEFAULT_SEED if args.seed is None else args.seed, "seed")
     with _locked(out):
         console.attach(out)
-        info = toygen.generate(out, seed=args.seed if args.seed is not None else toygen.DEFAULT_SEED,
-                               variant=args.variant)
-        console.line(
-            f"toy {args.variant}: {info['layers']} layers, {info['samples']} samples, seed "
-            f"{args.seed if args.seed is not None else toygen.DEFAULT_SEED}"
-        )
+        info = toygen.generate(out, seed=seed, variant=args.variant)
+        console.line(f"toy {args.variant}: {info['layers']} layers, {info['samples']} samples, seed {seed}")
         console.line(f"wrote {info['model']}, {info['dataset']}/, {info['config']}")
     return EXIT_OK
 
@@ -274,6 +272,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports, never crashes
         print(f"bitstorm: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        console.close()
 
 
 if __name__ == "__main__":

@@ -14,6 +14,11 @@ bit-reproducible and can be mirrored by a scalar reference implementation:
 Max-based operations (ReLU, MaxPool2D) propagate NaN: a corrupted value
 must not be silently repaired by comparison semantics.
 
+PReLU is computed as the six elementary ops of PRELU_OPS.  A hook passed
+to `forward_layer_batch` sees every op's output before its consumers do;
+this is where operation-wise injection corrupts values, so the golden run
+and every injected replay share one dataflow.
+
 All kernels are batch-first internally; a leading sample axis is prepended
 for the single-tensor entry points.
 """
@@ -256,18 +261,28 @@ def relu(x: np.ndarray) -> np.ndarray:
     return np.maximum(x, F32(0.0))
 
 
-@_quiet
-def prelu(x: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """relu(x) + alpha * (0.5 * (x - |x|)).
+#: PReLU's dataflow, relu(x) + alpha * (0.5 * (x - |x|)), as the kinds of
+#: its six ops in the order `prelu` runs them; the two branches meet last.
+PRELU_OPS = ("ReLU", "Abs", "Sub", "ConstMul", "Mul", "Add")
 
-    The dataflow is fixed: Sub, then the constant multiply, then the alpha
-    multiply, with the two branches combined by a final Add.  The micro-op
-    expansion relies on matching this order bit-for-bit.
+
+def _keep(index: int, out: np.ndarray) -> np.ndarray:
+    return out
+
+
+@_quiet
+def prelu(x: np.ndarray, alpha: np.ndarray, hook=None) -> np.ndarray:
+    """relu(x) + alpha * (0.5 * (x - |x|)), one op of PRELU_OPS at a time.
+
+    `hook(i, out)` receives op i's fresh output and returns the tensor that
+    the op's consumers read; operation-wise injection corrupts it there.
     """
-    neg = x - np.abs(x)
-    neg = F32(0.5) * neg
-    neg = np.asarray(alpha, dtype=F32) * neg
-    return relu(x) + neg
+    hook = hook or _keep
+    pos = hook(0, relu(x))
+    neg = hook(2, x - hook(1, np.abs(x)))
+    neg = hook(3, F32(0.5) * neg)
+    neg = hook(4, np.asarray(alpha, dtype=F32) * neg)
+    return hook(5, pos + neg)
 
 
 @_quiet
@@ -341,25 +356,31 @@ def _dense_batch(layer: Dense, x: np.ndarray) -> np.ndarray:
 
 
 @_quiet
-def forward_layer_batch(layer: Layer, x: np.ndarray) -> np.ndarray:
-    """Apply one layer to a batch shaped (samples, *layer input shape)."""
-    if isinstance(layer, Conv2D):
-        return _conv2d_batch(layer, x)
-    if isinstance(layer, MaxPool2D):
-        return _maxpool_batch(layer, x)
-    if isinstance(layer, Dense):
-        return _dense_batch(layer, x)
-    if isinstance(layer, ReLU):
-        return relu(x)
+def forward_layer_batch(layer: Layer, x: np.ndarray, hook=None) -> np.ndarray:
+    """Apply one layer to a batch shaped (samples, *layer input shape).
+
+    `hook`, if given, sees each op's output as `prelu` describes; a layer
+    other than PReLU is one op, and `hook(0, out)` sees the layer output.
+    """
     if isinstance(layer, PReLU):
-        return prelu(x, layer.alpha)
-    if isinstance(layer, Softmax):
-        return softmax(x)
-    if isinstance(layer, Flatten):
-        return np.ascontiguousarray(x).reshape(x.shape[0], -1)
-    if isinstance(layer, Dropout):
-        return x
-    raise ValidationError(f"unknown layer type {type(layer).__name__}")
+        return prelu(x, layer.alpha, hook)
+    if isinstance(layer, Conv2D):
+        out = _conv2d_batch(layer, x)
+    elif isinstance(layer, MaxPool2D):
+        out = _maxpool_batch(layer, x)
+    elif isinstance(layer, Dense):
+        out = _dense_batch(layer, x)
+    elif isinstance(layer, ReLU):
+        out = relu(x)
+    elif isinstance(layer, Softmax):
+        out = softmax(x)
+    elif isinstance(layer, Flatten):
+        out = np.ascontiguousarray(x).reshape(x.shape[0], -1)
+    elif isinstance(layer, Dropout):
+        out = x
+    else:
+        raise ValidationError(f"unknown layer type {type(layer).__name__}")
+    return out if hook is None else hook(0, out)
 
 
 def forward_layer(layer: Layer, x: np.ndarray) -> np.ndarray:

@@ -281,12 +281,13 @@ def load_dataset(directory, class_count: int | None = None) -> Dataset:
         )
     labels = np.frombuffer(raw, dtype="<u4", offset=8)
     if label_count != count:
-        raise ValidationError(
-            f"dataset mismatch: {count} samples but {label_count} labels"
-        )
+        raise ValidationError(f"{samples_path}, {labels_path}: {count} samples but {label_count} labels")
     if class_count is None:
         class_count = int(labels.max()) + 1 if labels.size else 1
-    return Dataset(samples=samples, labels=labels, class_count=class_count)
+    try:
+        return Dataset(samples=samples, labels=labels, class_count=class_count)
+    except ValidationError as exc:
+        raise ValidationError(f"{samples_path}, {labels_path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .engine import Conv2D, Dense, Dropout, Flatten, MaxPool2D, Model, PReLU, Softmax, forward_batch
-from .faults import KEY_SALT, philox_block, uniforms
+from .faults import KEY_SALT, check_u64, philox_block, uniforms
 from .model_io import Dataset, save_config, save_dataset, save_model
 
 DEFAULT_SEED = 7
@@ -44,7 +44,7 @@ def _uniforms(seed: int, tag: int, count: int) -> np.ndarray:
 
 class _WeightSource:
     def __init__(self, seed: int):
-        self.seed = seed
+        self.seed = check_u64(seed, "toy seed")
         self.tag = 0
 
     def uniform(self, shape, low: float, high: float) -> np.ndarray:
@@ -133,7 +133,7 @@ def build_toy_cnn(seed: int = DEFAULT_SEED):
 
 def build_toy_prelu_cnn(seed: int = DEFAULT_SEED):
     """A PReLU CNN whose expansion exposes Add/Sub/Mul/ReLU/Abs sites."""
-    source = _WeightSource(seed + 1)
+    source = _WeightSource((check_u64(seed, "toy seed") + 1) % 2**64)
     layers = [
         Conv2D(kernel=source.conv_kernel(3, 3, 1, 4), bias=source.uniform((4,), -0.05, 0.05), name="conv1"),
         PReLU(alpha=source.uniform((4,), 0.1, 0.3), name="prelu1"),

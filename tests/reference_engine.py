@@ -90,18 +90,39 @@ def relu_ref(x):
     return out.reshape(x.shape)
 
 
-def prelu_ref(x, alpha):
-    alpha = np.broadcast_to(np.asarray(alpha, dtype=F), x.shape)
+#: The result of an arithmetic op whose operands are both NaN.  IEEE 754
+#: leaves open which payload survives, and numpy's loops pick by the
+#: element's position in the array, so the oracle does not predict it.
+OPEN_NAN = np.array([0x7FC00000], dtype=np.uint32).view(F)[0]
+
+
+def _arith(result, a, b):
+    return OPEN_NAN if math.isnan(a) and math.isnan(b) else result
+
+
+def prelu_ref(x, alpha, replace=None):
+    """relu(x) + alpha * (0.5 * (x - |x|)) as six ops: relu, abs, sub, half, alpha, add.
+
+    `replace` maps an op's position in that list to an array of x's shape
+    whose elements stand in for the op's outputs, as a fault would.
+    """
+    alpha = np.broadcast_to(np.asarray(alpha, dtype=F), x.shape).reshape(-1)
+    subs = {i: np.asarray(r, dtype=F).reshape(-1) for i, r in (replace or {}).items()}
     flat_x = x.reshape(-1)
-    flat_a = alpha.reshape(-1)
     out = np.empty_like(flat_x)
-    for i in range(flat_x.size):
-        v = F(flat_x[i])
-        neg = v - F(abs(v))
-        neg = F(0.5) * neg
-        neg = F(flat_a[i]) * neg
-        pos = v if (v > 0 or math.isnan(v)) else F(0.0)
-        out[i] = pos + neg
+    for k in range(flat_x.size):
+
+        def op(i, value):
+            return subs[i][k] if i in subs else value
+
+        v, a = F(flat_x[k]), alpha[k]
+        with np.errstate(all="ignore"):
+            pos = op(0, v if (v > 0 or math.isnan(v)) else F(0.0))
+            mag = op(1, F(abs(v)))
+            neg = op(2, _arith(v - mag, v, mag))
+            neg = op(3, F(0.5) * neg)
+            neg = op(4, _arith(a * neg, a, neg))
+            out[k] = op(5, _arith(pos + neg, pos, neg))
     return out.reshape(x.shape)
 
 

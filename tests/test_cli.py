@@ -1,6 +1,7 @@
 """CLI tests: subcommands end to end, exit codes, locking, run.log."""
 
 import fcntl
+import gc
 import json
 import os
 import resource
@@ -9,6 +10,7 @@ import signal
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +62,26 @@ class TestGenToy:
         assert main(["gen-toy", "--out", str(again), "--seed", "7"]) == EXIT_OK
         for rel in ("model.json", "weights.bin", "dataset/samples.bin", "dataset/labels.bin", "config.json"):
             assert (toy_dir / rel).read_bytes() == (again / rel).read_bytes(), rel
+
+    @pytest.mark.parametrize("variant", ["cnn", "prelu-cnn"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_exits_2_before_writing(self, tmp_path, capsys, seed, variant):
+        out = tmp_path / "out"
+        assert main(["gen-toy", "--out", str(out), "--seed", str(seed), "--variant", variant]) == EXIT_VALIDATION
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_largest_seed_builds_both_variants(self, tmp_path):
+        for variant in ("cnn", "prelu-cnn"):
+            out = tmp_path / variant
+            assert main(["gen-toy", "--out", str(out), "--seed", str(2**64 - 1), "--variant", variant]) == EXIT_OK
+
+    def test_log_file_is_closed(self, tmp_path):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            assert main(["gen-toy", "--out", str(tmp_path / "out")]) == EXIT_OK
+            gc.collect()
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
     def test_prelu_variant(self, tmp_path):
         out = tmp_path / "prelu"
@@ -344,6 +366,8 @@ MALFORMED = {
     "layers 3": ("model.json", lambda doc: {**doc, "layers": 3}),
     "manifest is a list": ("model.json", lambda doc: [doc]),
     "samples rank 1000": ("samples.bin", struct.pack("<4sIII", b"BSDS", 1, 1, 1000).ljust(64, b"\0")),
+    "samples rank 0": ("samples.bin", struct.pack("<4sIII", b"BSDS", 1, 320, 0) + bytes(4 * 320)),
+    "samples rank 0, 2 samples": ("samples.bin", struct.pack("<4sIII", b"BSDS", 1, 2, 0) + bytes(4 * 2)),
 }
 
 

@@ -19,6 +19,7 @@ from bitstorm.engine import (
     INVALID_PREDICTION,
     MaxPool2D,
     Model,
+    PRELU_OPS,
     PReLU,
     ReLU,
     Softmax,
@@ -42,6 +43,19 @@ F = np.float32
 
 def rnd(source, shape, lo=-2.0, hi=2.0):
     return source.uniform(shape, lo, hi)
+
+
+#: Bit patterns that random words rarely hit: zeros, infinities, NaNs with
+#: payloads, subnormals and the extremes of the normal range.
+SPECIAL_BITS = (0x00000000, 0x80000000, 0x7F800000, 0xFF800000, 0x7FC00000, 0xFFC00001, 0x7F800001,
+                0x00000001, 0x807FFFFF, 0x00800000, 0x7F7FFFFF, 0xFF7FFFFF, 0x3F800000)
+
+
+def _f32_bits(data, shape):
+    """A float32 array of `shape` drawn as raw bit patterns, special values included."""
+    word = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(SPECIAL_BITS))
+    words = data.draw(st.lists(word, min_size=math.prod(shape), max_size=math.prod(shape)))
+    return np.array(words, dtype=np.uint32).view(F).reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +197,27 @@ class TestLayerKernels:
         layer = PReLU(alpha=rnd(source, (5,), 0.0, 0.5))
         x = rnd(source, (6, 6, 5))
         assert_values_equal(forward_layer(layer, x), ref.prelu_ref(x, layer.alpha))
+
+    @given(data=st.data(), rows=st.integers(1, 4), channels=st.integers(1, 5))
+    @settings(max_examples=60, deadline=None)
+    def test_prelu_ops_match_reference_under_replacement(self, data, rows, channels):
+        """Each op's output, replaced by arbitrary binary32 bits, reaches the result as the oracle says."""
+        shape = (rows, channels)
+        x, stand_in = (_f32_bits(data, shape) for _ in range(2))
+        alpha = _f32_bits(data, (channels,))
+        for position in [None, *range(len(PRELU_OPS))]:
+            seen = []
+
+            def hook(i, out):
+                seen.append(i)
+                return stand_in.copy() if i == position else out
+
+            out = prelu(x, alpha, hook)
+            expected = ref.prelu_ref(x, alpha, {} if position is None else {position: stand_in})
+            open_nan = expected.view(np.uint32) == ref.OPEN_NAN.view(np.uint32)
+            assert np.isnan(out[open_nan]).all()
+            assert_bits_equal(np.where(open_nan, expected, out), expected, f"op {position}")
+            assert seen == list(range(len(PRELU_OPS)))
 
     def test_batch_equals_single(self):
         source = _WeightSource(25)

@@ -1,10 +1,12 @@
 """Micro-op expansion: structure counts and bit-exact evaluation fidelity."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import assert_bits_equal
-from bitstorm.engine import Dense, Model, PReLU, ReLU, Softmax
-from bitstorm.microops import LAYER_INPUT, expand_prelu, run_microops_batch
+from bitstorm.engine import Conv2D, Dense, Dropout, Flatten, MaxPool2D, Model, PReLU, ReLU, Softmax, forward_batch
+from bitstorm.microops import expand_prelu, run_microops_batch
 from bitstorm.toygen import _WeightSource
 
 F = np.float32
@@ -35,6 +37,25 @@ class TestExpansionStructure:
         assert sorted(kinds) == ["Abs", "Add", "ConstMul", "Mul", "ReLU", "Sub"]
         assert kinds[-1] == "Add"  # the branches are combined last
 
+    def test_op_kinds_name_what_each_op_computes(self):
+        model = _prelu_model()
+        xs = _WeightSource(54).uniform((7, 10), -4.0, 4.0)
+        x = forward_batch(model, xs, stop=1)  # the PReLU layer's input
+        outs = {}
+
+        def hook(op, out):
+            if op.layer_index == 1:
+                outs[op.kind] = out
+            return out
+
+        run_microops_batch(expand_prelu(model), xs, hook=hook)
+        assert_bits_equal(outs["ReLU"], np.maximum(x, F(0)))
+        assert_bits_equal(outs["Abs"], np.abs(x))
+        assert_bits_equal(outs["Sub"], x - outs["Abs"])
+        assert_bits_equal(outs["ConstMul"], F(0.5) * outs["Sub"])
+        assert_bits_equal(outs["Mul"], model.layers[1].alpha * outs["ConstMul"])
+        assert_bits_equal(outs["Add"], outs["ReLU"] + outs["Mul"])
+
     def test_prelu_counts_in_toy(self, toy_prelu):
         model, _ = toy_prelu
         expanded = expand_prelu(model)
@@ -59,23 +80,64 @@ class TestExpansionStructure:
         assert a == b
         assert len(set(a)) == len(a)
 
-    def test_const_mul_is_half(self):
-        expanded = expand_prelu(_prelu_model())
-        const_ops = [op for op in expanded.all_ops() if op.kind == "ConstMul"]
-        assert [op.constant for op in const_ops] == [0.5]
 
-    def test_wiring_references_are_layer_local(self):
-        expanded = expand_prelu(_prelu_model())
-        for ops in expanded.ops_by_layer:
-            for pos, op in enumerate(ops):
-                for ref in op.inputs:
-                    assert ref == LAYER_INPUT or 0 <= ref < pos
+def _activation(source, kind, shape):
+    if kind == "relu":
+        return ReLU()
+    alpha_shape = {"scalar": (), "channel": shape[-1:], "full": shape}[kind.split("-")[1]]
+    return PReLU(alpha=source.uniform(alpha_shape, -0.5, 0.5))
+
+
+@st.composite
+def random_models(draw):
+    """A small conv net with a ReLU or PReLU layer first and another after its conv."""
+    activations = st.sampled_from(["relu", "prelu-scalar", "prelu-channel", "prelu-full"])
+    h, w, c = draw(st.integers(3, 6)), draw(st.integers(3, 6)), draw(st.integers(1, 3))
+    cout, padding, classes = draw(st.integers(1, 3)), draw(st.sampled_from(["valid", "same"])), draw(st.integers(2, 4))
+    source = _WeightSource(draw(st.integers(0, 2**32)))
+    conv = Conv2D(kernel=source.uniform((3, 3, c, cout), -0.6, 0.6), bias=source.uniform((cout,), -0.2, 0.2),
+                  padding=padding)
+    conv_shape = conv.out_shape((h, w, c))
+    layers = [_activation(source, draw(activations), (h, w, c)), conv,
+              _activation(source, draw(activations), conv_shape)]
+    if draw(st.booleans()) and min(conv_shape[:2]) >= 2:
+        layers.append(MaxPool2D(window=(2, 2), stride=(2, 2)))
+    if draw(st.booleans()):
+        layers.append(Dropout(rate=0.5))
+    width = int(np.prod(Model(input_shape=(h, w, c), layers=[*layers, Flatten()]).output_shapes[-1]))
+    layers += [Flatten(), Dense(weights=source.uniform((width, classes), -0.5, 0.5),
+                                bias=source.uniform((classes,), -0.1, 0.1))]
+    if draw(st.booleans()):
+        layers.append(Softmax())
+    model = Model(input_shape=(h, w, c), layers=layers)
+    return model, source.uniform((draw(st.integers(1, 5)), h, w, c), -3.0, 3.0)
 
 
 class TestExpansionFidelity:
-    def test_expanded_matches_plain_forward_bitexact(self, toy_prelu):
-        from bitstorm.engine import forward_batch
+    @given(case=random_models())
+    @settings(max_examples=40, deadline=None)
+    def test_random_models_match_plain_forward(self, case):
+        model, xs = case
+        expanded = expand_prelu(model)
+        ops = list(expanded.all_ops())
+        assert [op.op_id for op in ops] == list(range(len(ops)))
+        assert [op.layer_index for op in ops] == sorted(op.layer_index for op in ops)
+        assert [len(layer_ops) for layer_ops in expanded.ops_by_layer] == [
+            6 if layer.kind == "PReLU" else 1 for layer in model.layers]
+        seen = []
 
+        def hook(op, out):
+            seen.append(op.op_id)
+            return out
+
+        plain = forward_batch(model, xs)
+        assert_bits_equal(run_microops_batch(expanded, xs), plain)
+        assert_bits_equal(run_microops_batch(expanded, xs, hook=hook), plain)
+        assert seen == [op.op_id for op in ops]
+        middle = forward_batch(model, xs, stop=2)  # the input of the second activation
+        assert_bits_equal(run_microops_batch(expanded, middle, start=2), plain)
+
+    def test_expanded_matches_plain_forward_bitexact(self, toy_prelu):
         model, dataset = toy_prelu
         expanded = expand_prelu(model)
         plain = forward_batch(model, dataset.samples)
@@ -83,8 +145,6 @@ class TestExpansionFidelity:
         assert_bits_equal(plain, micro)
 
     def test_expanded_matches_on_random_inputs(self):
-        from bitstorm.engine import forward_batch
-
         model = _prelu_model()
         expanded = expand_prelu(model)
         source = _WeightSource(52)
