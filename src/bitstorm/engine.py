@@ -7,7 +7,12 @@ bit-reproducible and can be mirrored by a scalar reference implementation:
 * Conv2D: accumulator starts at the bias, then terms are added in kernel
   row-major order with the input channel varying fastest (ki, kj, cin).
 * Dense: accumulator starts at the bias, then input features in ascending
-  index order.
+  index order.  Features go in blocks: the running sum and one block's
+  products fill an array of at most _DENSE_TERM_BYTES, and one
+  `np.add.reduce` over its leading axis sums it in sequence.  A batch
+  whose output is one element (rows x outputs == 1), which numpy would sum
+  pairwise, adds one feature at a time, as does an output too large for a
+  block of four features.
 * Softmax: max-subtracted, exponential sum accumulated in ascending class
   order.
 
@@ -342,14 +347,34 @@ def _maxpool_batch(layer: MaxPool2D, x: np.ndarray) -> np.ndarray:
     return acc
 
 
+#: Bytes of the term array `_dense_batch` reduces at once: the running sum
+#: and the products of one block of input features.
+_DENSE_TERM_BYTES = 1 << 16
+
+
 def _dense_batch(layer: Dense, x: np.ndarray) -> np.ndarray:
     n_in, n_out = layer.weights.shape
-    acc = np.empty((x.shape[0], n_out), dtype=F32)
+    rows = x.shape[0]
+    acc = np.empty((rows, n_out), dtype=F32)
     acc[...] = layer.bias
-    term = np.empty_like(acc)
-    for i in range(n_in):
-        np.multiply(x[:, i : i + 1], layer.weights[i], out=term)
-        np.add(acc, term, out=acc)
+    block = _DENSE_TERM_BYTES // acc.nbytes - 1 if acc.size > 1 else 0
+    if block < 4:
+        # numpy would sum a lone output element's axis pairwise, and blocks
+        # of fewer than four features are no faster than this loop
+        term = np.empty_like(acc)
+        for i in range(n_in):
+            np.multiply(x[:, i : i + 1], layer.weights[i], out=term)
+            np.add(acc, term, out=acc)
+    else:
+        # numpy reduces an outer axis in sequence: ((sum + t0) + t1) + ...;
+        # the initial -0.0 is the one addend that changes no value
+        terms = np.empty((min(block, n_in) + 1, rows, n_out), dtype=F32)
+        for start in range(0, n_in, block):
+            stop = min(start + block, n_in)
+            part = terms[: stop - start + 1]
+            part[0] = acc
+            np.multiply(x[:, start:stop].T[:, :, None], layer.weights[start:stop, None, :], out=part[1:])
+            np.add.reduce(part, axis=0, out=acc, initial=F32(-0.0))
     if layer.activation == "softmax":
         acc = softmax(acc)
     return acc

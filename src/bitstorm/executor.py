@@ -36,6 +36,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -156,7 +157,7 @@ class ActivationCache:
 
     @property
     def bytes_per_sample(self) -> int:
-        return int(np.prod(self.shape)) * 4
+        return math.prod(self.shape) * 4
 
     @property
     def total_bytes(self) -> int:

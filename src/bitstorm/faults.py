@@ -393,11 +393,17 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial: in
     return rows, records, u[hit]
 
 
+#: Records whose fields `records_to_rows` turns into Python ints at a time:
+#: enough to pay for the calls, few enough that a large cell's ints never
+#: all exist at once.
+_ROW_BLOCK = 256
+
+
 def records_to_rows(records: np.ndarray):
     """Format a structured record array as injector CSV rows."""
-    for rec in records:
-        yield (
-            f"{int(rec['trial'])},{int(rec['sample'])},{int(rec['site'])},"
-            f"{int(rec['element'])},{int(rec['bit'])},"
-            f"{int(rec['original']):08x},{int(rec['corrupted']):08x}"
-        )
+    for start in range(0, records.size, _ROW_BLOCK):
+        block = records[start : start + _ROW_BLOCK]
+        for trial, sample, site, element, bit, original, corrupted in zip(
+            *(block[name].tolist() for name in RECORD_DTYPE.names)
+        ):
+            yield f"{trial},{sample},{site},{element},{bit},{original:08x},{corrupted:08x}"

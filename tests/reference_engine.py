@@ -67,13 +67,17 @@ def maxpool_ref(x, window=(2, 2), stride=(2, 2)):
 
 
 def dense_ref(x, weights, bias):
+    """Bias, then each feature's product in ascending order; OPEN_NAN where two NaNs meet."""
     n_in, n_out = weights.shape
     out = np.empty(n_out, dtype=F)
-    for o in range(n_out):
-        acc = F(bias[o])
-        for i in range(n_in):
-            acc = acc + F(F(x[i]) * F(weights[i, o]))
-        out[o] = acc
+    with np.errstate(all="ignore"):
+        for o in range(n_out):
+            acc = F(bias[o])
+            for i in range(n_in):
+                a, b = F(x[i]), F(weights[i, o])
+                term = _arith(a * b, a, b)
+                acc = _arith(acc + term, acc, term)
+            out[o] = acc
     return out
 
 

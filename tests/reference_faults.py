@@ -77,3 +77,9 @@ def inject(tensor, kind, bit, probability, seed, trial, sample, site):
     index = element(w1, np.asarray(tensor).size)
     out, applied = corrupt(tensor, index, kind, bit, w2)
     return u, out, (trial, sample, site, index, *applied)
+
+
+def csv_row(record):
+    """The injector CSV row of one (trial, sample, site, element, bit, original, corrupted) record."""
+    trial, sample, site, index, bit, original, corrupted = (int(v) for v in record)
+    return f"{trial},{sample},{site},{index},{bit},{original:08x},{corrupted:08x}"

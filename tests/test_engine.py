@@ -2,15 +2,17 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_engine as ref
 from conftest import assert_bits_equal, assert_values_equal
+from bitstorm import engine
 from bitstorm.engine import (
     Conv2D,
     Dense,
@@ -56,6 +58,20 @@ def _f32_bits(data, shape):
     word = st.one_of(st.integers(0, 2**32 - 1), st.sampled_from(SPECIAL_BITS))
     words = data.draw(st.lists(word, min_size=math.prod(shape), max_size=math.prod(shape)))
     return np.array(words, dtype=np.uint32).view(F).reshape(shape)
+
+
+def _mixed_bits(rng, shape, raw, special):
+    """Float32 values in [-2, 2) with shares of raw bit patterns and of SPECIAL_BITS mixed in.
+
+    Moderate values keep long sums finite, so a change in summation order
+    shows in the rounding; raw words bring overflow, NaN payloads and
+    subnormal products.
+    """
+    words = rng.uniform(-2.0, 2.0, shape).astype(F).view(np.uint32)
+    pick = rng.random(shape)
+    words = np.where(pick < raw, rng.integers(0, 2**32, shape, dtype=np.uint32), words)
+    words = np.where(pick >= 1.0 - special, rng.choice(np.array(SPECIAL_BITS, dtype=np.uint32), shape), words)
+    return words.view(F)
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +207,52 @@ class TestLayerKernels:
         layer = Dense(weights=rnd(source, (37, 11)), bias=rnd(source, (11,)))
         x = rnd(source, (37,))
         assert_bits_equal(forward_layer(layer, x), ref.dense_ref(x, layer.weights, layer.bias))
+
+    @given(rows=st.integers(1, 4), n_out=st.integers(1, 4), n_in=st.integers(1, 300),
+           seed=st.integers(0, 2**32 - 1), raw=st.sampled_from([0.0, 0.02, 0.5, 1.0]),
+           special=st.sampled_from([0.0, 0.01, 0.2]), block=st.one_of(st.none(), st.integers(4, 8)))
+    @example(rows=1, n_out=1, n_in=200, seed=0, raw=0.0, special=0.0, block=None)  # numpy's pairwise case
+    @settings(max_examples=80, deadline=None)
+    def test_dense_matches_reference_on_any_bits(self, rows, n_out, n_in, seed, raw, special, block):
+        """Dense equals the scalar oracle bit for bit, in one term block or several of `block` features."""
+        rng = np.random.default_rng(seed)
+        x = _mixed_bits(rng, (rows, n_in), raw, special)
+        layer = Dense(weights=_mixed_bits(rng, (n_in, n_out), raw, special),
+                      bias=_mixed_bits(rng, (n_out,), raw, special))
+        cap = engine._DENSE_TERM_BYTES if block is None else (block + 1) * 4 * rows * n_out
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_DENSE_TERM_BYTES", cap)
+            out = forward_layer_batch(layer, x)
+        expected = np.stack([ref.dense_ref(row, layer.weights, layer.bias) for row in x])
+        open_nan = expected.view(np.uint32) == ref.OPEN_NAN.view(np.uint32)
+        assert np.isnan(out[open_nan]).all()
+        assert_bits_equal(np.where(open_nan, expected, out), expected, f"{rows}x{n_in}->{n_out}, block {block}")
+
+    def test_dense_keeps_negative_zero(self):
+        """-0.0 + -0.0 is -0.0: numpy's reduction identity, +0.0, must not enter the sum."""
+        layer = Dense(weights=-np.ones((3, 2), dtype=F), bias=np.full(2, -0.0, dtype=F))
+        assert_bits_equal(forward_layer_batch(layer, np.zeros((2, 3), dtype=F)), np.full((2, 2), -0.0, dtype=F))
+
+    def test_dense_holds_one_term_block(self):
+        """Dense at 320 rows holds its output and one term array within the cap, not all 97 products.
+
+        numpy's ufunc iterator adds its own buffers, `np.getbufsize()`
+        float32 values for each of the multiply's two inputs, whatever the
+        cap; 4 KiB covers the iterator and Python objects.
+        """
+        source = _WeightSource(26)
+        layer = Dense(weights=rnd(source, (96, 8)), bias=rnd(source, (8,)))
+        x = rnd(source, (320, 96))
+        forward_layer_batch(layer, x[:2])  # numpy's lazy imports are not the layer's
+        tracemalloc.start()
+        try:
+            out = forward_layer_batch(layer, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 97 * out.nbytes > 4 * engine._DENSE_TERM_BYTES  # so the cap splits the features into blocks
+        bound = engine._DENSE_TERM_BYTES + out.nbytes + 2 * 4 * np.getbufsize() + (4 << 10)
+        assert peak <= bound, f"peak {peak} bytes, bound {bound} bytes"
 
     def test_prelu_matches_reference(self):
         source = _WeightSource(24)

@@ -5,6 +5,7 @@ with `bitstorm.faults`.
 """
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from bitstorm.faults import (
     NO_BIT,
     PhiloxStream,
     RECORD_DTYPE,
+    _ROW_BLOCK,
     corrupt_element,
     derive_stream,
     draw_words,
@@ -281,6 +283,21 @@ class TestInjectBatch:
         assert rows[0].split(",")[4] == "31"
         assert rows[0].split(",")[5] == "3f800000"  # 1.0f
         assert rows[0].split(",")[6] == "bf800000"  # -1.0f
+
+    @pytest.mark.parametrize("size", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5])
+    def test_csv_rows_equal_field_by_field_formatting(self, size):
+        """Rows formatted from whole columns, block by block, equal one record at a time, byte for byte."""
+        rng = np.random.default_rng(size)
+        records = np.empty(size, dtype=RECORD_DTYPE)
+        for name in RECORD_DTYPE.names:
+            kind = RECORD_DTYPE[name]
+            records[name] = rng.integers(np.iinfo(kind).min, np.iinfo(kind).max, size, dtype=kind, endpoint=True)
+        records["bit"] = np.where(rng.random(size) < 0.3, NO_BIT, rng.integers(0, 32, size))
+        if size:
+            records[-1] = (U64_MAX, U64_MAX, U64_MAX, U64_MAX, NO_BIT, 2**32 - 1, 2**32 - 1)
+        rows = records_to_rows(records)
+        assert inspect.isgenerator(rows)  # emit_report writes each row as it comes
+        assert list(rows) == [ref.csv_row(rec) for rec in records]
 
 
 class TestUniformity:
