@@ -9,8 +9,11 @@ can be judged sufficient.
 Layer-wise, the cells of one target share their random streams: each
 (target, trial) is injected and replayed once, at the largest probability,
 and that one replay yields the trial's accuracy and records at every
-probability (`executor.at_probability`).  A target's cells are appended
-together once all its trials are done.
+probability (`executor.at_probability`).  A worker runs a contiguous range
+of a target's trials in one `executor.run_injected_layerwise` call, which
+reads each chunk of the target's store once per block of trials rather
+than once per trial.  A target's cells are appended together once all its
+trials are done.
 
 Operation-wise, each trial replays only the samples its faults hit, from
 the golden input of their first hit layer, in chunks within the budget;
@@ -18,9 +21,11 @@ the words of each (trial, site) are drawn once.  Both modes read their
 golden predictions and layer inputs from one store (`executor.layer_caches`)
 and never run a separate golden pass.
 
-Trials are embarrassingly parallel.  Results are merged in trial order no
-matter which worker finishes first, so reports are byte-identical at any
-parallelism level.
+Trials are independent.  Each worker takes one contiguous range of them,
+and the results are concatenated in trial order, so reports are
+byte-identical at any worker count.  Unless told otherwise, layer-wise
+campaigns use one worker per CPU (up to 8) and operation-wise ones a single
+worker, where a pool measured slower.
 """
 
 from __future__ import annotations
@@ -191,24 +196,34 @@ def resolve_targets(spec: CampaignSpec, model: Model) -> list:
     return spec.targets
 
 
-def _worker_count(workers) -> int:
-    """`workers`, else BITSTORM_THREADS (a non-negative integer); 0 or less means one per CPU, up to 8."""
+def _worker_count(workers, mode: str) -> int:
+    """`workers`, else BITSTORM_THREADS (a non-negative integer); 0 or less picks the count.
+
+    The picked count is one per CPU, up to 8, layer-wise, and one op-wise,
+    where the pool measured slower than a single worker.
+    """
     if workers is None:
         text = os.environ.get("BITSTORM_THREADS", "").strip() or "0"
         if not (text.isascii() and text.isdigit()):
             raise ValidationError(f"BITSTORM_THREADS must be a non-negative integer, got {text!r}")
         workers = int(text)
     if workers <= 0:
-        workers = min(os.cpu_count() or 1, 8)
+        workers = 1 if mode == "op" else min(os.cpu_count() or 1, 8)
     return workers
 
 
-def _run_trials(trials: int, workers: int, run_one):
-    """Evaluate run_one(trial) for all trials, merging in trial order."""
-    if workers <= 1:
-        return [run_one(t) for t in range(trials)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(run_one, range(trials)))
+def _run_trials(trials: int, workers: int, run_range):
+    """run_range(r) over contiguous ranges r that cover range(trials), one per worker; results in trial order.
+
+    run_range returns one result per trial of its range.  The ranges differ
+    in length by at most one.
+    """
+    count = max(1, min(workers, trials))
+    ranges = [range(i * trials // count, (i + 1) * trials // count) for i in range(count)]
+    if count == 1:
+        return run_range(ranges[0])
+    with ThreadPoolExecutor(max_workers=count) as pool:
+        return [result for part in pool.map(run_range, ranges) for result in part]
 
 
 def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int | None = None, cache_root=None) -> CampaignResult:
@@ -221,7 +236,7 @@ def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: 
     On an error mid-campaign, the cells completed so far are flushed to
     spec.out_dir (when set) before the exception propagates.
     """
-    workers = _worker_count(workers)
+    workers = _worker_count(workers, spec.mode)
     tmp = None
     if cache_root is None:
         if spec.out_dir is not None:
@@ -261,12 +276,14 @@ def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int,
                 fault = FaultSpec(mode="layer", target=layer, fault=spec.fault,
                                   probability=max(spec.probabilities), seed=spec.seed, bit=spec.bit)
 
-                def run_one(trial, fault=fault, cache=cache):
-                    run = run_injected_layerwise(model, cache, fault, trial)
-                    derived = (at_probability(cache.golden, *run, p) for p in spec.probabilities)
-                    return [(accuracy(preds, reference), records) for preds, records in derived]
+                def run_range(trials, fault=fault, cache=cache):
+                    outcomes = []
+                    for run in run_injected_layerwise(model, cache, fault, trials):
+                        derived = (at_probability(cache.golden, *run, p) for p in spec.probabilities)
+                        outcomes.append([(accuracy(preds, reference), records) for preds, records in derived])
+                    return outcomes
 
-                by_trial = _run_trials(spec.trials, workers, run_one)
+                by_trial = _run_trials(spec.trials, workers, run_range)
                 for p, outcomes in zip(spec.probabilities, zip(*by_trial)):
                     cells.append(_make_cell(str(layer), model.layers[layer].kind, model.output_shapes[layer],
                                             p, outcomes, spec))
@@ -276,11 +293,11 @@ def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int,
                     fault = FaultSpec(mode="op", target=(kind,), fault=spec.fault,
                                       probability=p, seed=spec.seed, bit=spec.bit)
 
-                    def run_one(trial, fault=fault):
-                        preds, records = run_injected_opwise(expanded, dataset, caches, fault, trial)
-                        return accuracy(preds, reference), records
+                    def run_range(trials, fault=fault):
+                        runs = (run_injected_opwise(expanded, dataset, caches, fault, trial) for trial in trials)
+                        return [(accuracy(preds, reference), records) for preds, records in runs]
 
-                    cells.append(_make_cell(kind, "", (), p, _run_trials(spec.trials, workers, run_one), spec))
+                    cells.append(_make_cell(kind, "", (), p, _run_trials(spec.trials, workers, run_range), spec))
     except BaseException:
         if spec.out_dir is not None and cells:
             result.partial = True

@@ -176,7 +176,7 @@ def _print_summary(console: Console, summary: dict):
 def cmd_campaign(args, console: Console) -> int:
     config = _apply_overrides(load_config(args.config), args)
     spec = config.spec
-    workers = _worker_count(None)
+    workers = _worker_count(None, spec.mode)
     model, dataset = _load_inputs(config)
     resolve_targets(spec, model)  # a bad thread count or target is rejected before out_dir is created
     with _locked(spec.out_dir):

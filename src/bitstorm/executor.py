@@ -9,11 +9,17 @@ payload in chunks of at most `budget` bytes.  A store is reused only when
 its content key (format version, model and dataset samples) matches
 exactly; the budget is not part of it.
 
-Every trial corrupts copies of the stored rows its fault hit and replays
-the tail only for the rows whose activation the fault actually changed;
-every other row keeps its golden prediction.  This is bit-exact because
-every kernel in `engine` computes each sample from its own row in a fixed
-order.  The store is never mutated by a trial.
+Layer-wise replays run chunk-outer and trial-inner.  A range of trials of
+one target goes in blocks of `_TRIAL_STREAMS` (trial, sample) streams; a
+block draws its words in one Philox call and reads each chunk once.  Each
+chunk is cut into windows of at most `_BUILD_BATCH` rows, and a window
+takes the block's trials a few at a time, so that no injection or tail
+call handles more than `_BUILD_BATCH` rows.  Every trial corrupts copies of
+the stored rows its fault hit and replays the tail only for the rows whose
+activation the fault actually changed; every other row keeps its golden
+prediction.  This is bit-exact because every kernel in `engine` computes
+each sample from its own row in a fixed order, whatever else is in the
+batch.  The store is never mutated by a trial.
 
 A sample's fault depends on (seed, trial, sample, site) and not on the
 probability, which only decides whether the sample is hit.  So the cells of
@@ -57,9 +63,14 @@ GOLDEN_FILE = "golden.bin"
 #: Bumped whenever the on-disk store layout changes; part of every store key.
 CACHE_FORMAT_VERSION = 4
 
-#: Cap on how many samples the golden pass pushes through the model at once;
-#: keeps transient compute buffers small.
+#: Cap on how many rows one call pushes through the model: the golden pass's
+#: samples, and a layer-wise replay's window rows and tail rows.  Keeps
+#: transient compute buffers small.
 _BUILD_BATCH = 256
+
+#: (trial, sample) streams whose words a layer-wise replay draws at once; a
+#: block of max(1, _TRIAL_STREAMS // samples) trials shares each chunk read.
+_TRIAL_STREAMS = 2048
 
 
 def _check_pairing(model: Model, dataset: Dataset):
@@ -284,41 +295,71 @@ def build_cache(model: Model, dataset: Dataset, layer: int, budget: int, directo
 # ---------------------------------------------------------------------------
 
 
-def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec, trial: int):
-    """One trial: inject at most once per sample into cached activations.
+def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec, trials):
+    """Trials `trials` (a contiguous ascending range) of one target; one (preds, records, u) per trial.
 
-    The trial's words are drawn once for all samples and sliced per chunk.
-    Only rows whose activation the fault changed (a record with original !=
-    corrupted) go through the tail; every other row keeps the golden
-    prediction stored in the cache.  Returns (preds, records, u), where u[i]
-    is the Bernoulli uniform of records[i]; `at_probability` derives from
-    them the trial at any lower probability.
+    Each trial injects at most once per sample into the stored activations.
+    The loop runs chunk-outer and trial-inner: the trials go in blocks of
+    max(1, _TRIAL_STREAMS // samples), each block draws its words in one
+    call, and reads every chunk once.  A chunk is cut into windows of at
+    most `_BUILD_BATCH` rows, and a window takes the block's trials in
+    sub-blocks of max(1, _BUILD_BATCH // window rows); each sub-block makes
+    one `inject_batch` call and replays the rows its faults changed (records
+    with original != corrupted) in one tail call of at most `_BUILD_BATCH`
+    rows.  Every other row keeps the golden prediction stored in the cache.
+    This is bit-exact because the tail computes each row from its own input.
+
+    Per trial, u[i] is the Bernoulli uniform of records[i], and records are
+    in sample order; `at_probability` derives from them the trial at any
+    lower probability.
     """
     if spec.mode != "layer":
         raise ValidationError("run_injected_layerwise requires an operation mode of 'layer'")
     if cache.layer != spec.target:
         raise ValidationError(f"cache holds layer {cache.layer} but spec targets layer {spec.target}")
+    trials = list(trials)
+    if trials != list(range(trials[0], trials[0] + len(trials)) if trials else []):
+        raise ValidationError("trials must be a contiguous ascending range")
     sample_ids = np.arange(cache.sample_count, dtype=np.uint64)
-    words = draw_words(spec.seed, trial, sample_ids, cache.layer)
-    preds = cache.golden.copy()
-    all_records, all_u = [], []
+    block = max(1, _TRIAL_STREAMS // cache.sample_count)
+    runs = []
+    for lo in range(0, len(trials), block):
+        runs += _replay_block(model, cache, spec, trials[lo : lo + block], sample_ids)
+    return runs
+
+
+def _replay_block(model: Model, cache: ActivationCache, spec: FaultSpec, trials: list, sample_ids: np.ndarray):
+    """The (preds, records, u) of each trial in `trials`, from one read of every chunk."""
+    words = draw_words(spec.seed, trials, sample_ids, cache.layer)
+    preds = np.tile(cache.golden, (len(trials), 1))
+    parts, us = [np.empty(0, dtype=RECORD_DTYPE)], [np.empty(0)]
     for start, acts in cache.iter_chunks():
-        stop = start + acts.shape[0]
-        rows, records, u = inject_batch(acts, spec, words[start:stop], trial, sample_ids[start:stop], cache.layer)
-        del acts  # rows holds copies of the hit rows
-        if records.size:
-            all_records.append(records)
-            all_u.append(u)
-            changed = records["original"] != records["corrupted"]
-            if not changed.all():
-                rows = rows[changed]
-            if rows.shape[0]:
-                preds[records["sample"][changed].astype(np.int64)] = predict_batch(
-                    tail_scores_batch(model, cache.layer, rows))
-        del rows  # neither the chunk nor its hit rows outlive the next read
-    if not all_records:
-        return preds, np.empty(0, dtype=RECORD_DTYPE), np.empty(0)
-    return preds, np.concatenate(all_records), np.concatenate(all_u)
+        for lo in range(0, acts.shape[0], _BUILD_BATCH):
+            window = acts[lo : lo + _BUILD_BATCH]
+            rows_of = slice(start + lo, start + lo + window.shape[0])
+            step = max(1, _BUILD_BATCH // window.shape[0])
+            for j in range(0, len(trials), step):
+                rows, records, u = inject_batch(window, spec, words[j : j + step, rows_of], trials[j : j + step],
+                                                sample_ids[rows_of], cache.layer)
+                if not records.size:
+                    continue
+                parts.append(records)
+                us.append(u)
+                changed = records["original"] != records["corrupted"]
+                if not changed.all():
+                    rows, records = rows[changed], records[changed]
+                if rows.shape[0]:
+                    at = ((records["trial"] - np.uint64(trials[0])).astype(np.int64),
+                          records["sample"].astype(np.int64))
+                    preds[at] = predict_batch(tail_scores_batch(model, cache.layer, rows))
+                del rows  # one sub-block's hit copies at a time
+        del acts, window  # neither outlives the next read
+    records, u = np.concatenate(parts), np.concatenate(us)
+    del parts, us
+    order = np.argsort(records["trial"], kind="stable")  # each trial's records are in sample order already
+    records, u = records[order], u[order]
+    cuts = np.searchsorted(records["trial"], np.array(trials[1:], dtype=np.uint64))
+    return list(zip(preds, np.split(records, cuts), np.split(u, cuts)))
 
 
 def at_probability(golden: np.ndarray, preds: np.ndarray, records: np.ndarray, u: np.ndarray, probability: float):

@@ -331,19 +331,22 @@ def maybe_inject(tensor: np.ndarray, spec: FaultSpec, stream: PhiloxStream):
     return tensor, []
 
 
-def draw_words(seed: int, trial: int, sample_ids: np.ndarray, site: int) -> np.ndarray:
+def draw_words(seed: int, trial, sample_ids: np.ndarray, site: int) -> np.ndarray:
     """Block 0 of the (trial, sample, site) stream of every sample in `sample_ids`.
 
-    Returns a (len(sample_ids), 4) uint64 array, one Philox call for all
-    samples.  Words 0-2 are the draws of `maybe_inject` (uniform, element,
-    material); a trial draws each site's words once and slices them per
-    chunk.
+    `trial` is one trial id, or a 1-D sequence of them.  Returns a
+    (len(sample_ids), 4) uint64 array for one trial and a (len(trial),
+    len(sample_ids), 4) one for a sequence, from one Philox call either way.
+    Words 0-2 are the draws of `maybe_inject` (uniform, element, material);
+    callers draw each site's words once and slice them per chunk.
     """
-    counters = np.zeros((len(sample_ids), 4), dtype=np.uint64)
-    counters[:, 1] = np.uint64(check_u64(trial, "trial"))
-    counters[:, 2] = np.asarray(sample_ids, dtype=np.uint64)
-    counters[:, 3] = np.uint64(check_u64(site, "site"))
-    return philox_block(counters, np.uint64(check_u64(seed, "seed")), KEY_SALT)
+    trials = [check_u64(t, "trial") for t in ([trial] if np.ndim(trial) == 0 else trial)]
+    counters = np.zeros((len(trials), len(sample_ids), 4), dtype=np.uint64)
+    counters[..., 1] = np.array(trials, dtype=np.uint64)[:, None]
+    counters[..., 2] = np.asarray(sample_ids, dtype=np.uint64)
+    counters[..., 3] = np.uint64(check_u64(site, "site"))
+    words = philox_block(counters.reshape(-1, 4), np.uint64(check_u64(seed, "seed")), KEY_SALT)
+    return words.reshape(counters.shape if np.ndim(trial) else counters.shape[1:])
 
 
 def uniforms(word0):
@@ -355,27 +358,34 @@ def uniforms(word0):
     return (word0 >> 11) * 2.0**-53
 
 
-def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial: int, sample_ids: np.ndarray, site: int):
-    """Vectorized maybe_inject over a batch of per-sample tensors.
+def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial, sample_ids: np.ndarray, site: int):
+    """Vectorized maybe_inject over a batch of per-sample tensors, for one trial or several.
 
-    `acts` has shape (samples, *tensor shape) and is only read; words[i] is
-    draw_words(spec.seed, trial, sample_ids, site)[i], the stream of the
-    sample in row i.  Bit-for-bit equivalent to calling maybe_inject with
-    derive_stream(spec.seed, trial, sample, site) per sample.  Returns
-    (rows, records, u), one entry per sample the fault hit, in row order:
-    rows[i] is a copy of that sample's tensor with records[i] applied, and
-    u[i] is the Bernoulli uniform that decided the hit.  A sample is hit iff
-    its u is below spec.probability, and its element and material do not
-    depend on the probability: at any lower probability the faults are the
-    records whose u is below it.
+    `acts` has shape (samples, *tensor shape) and is only read; `words` is
+    draw_words(spec.seed, trial, sample_ids, site), or a slice of it that
+    keeps one row of words per row of `acts`: words[..., i, :] is the stream
+    of the sample in row i.  For several trials `trial` is their ids and the
+    words' leading axis runs over them, so every trial injects into the same
+    stored rows.  Bit-for-bit equivalent to calling maybe_inject with
+    derive_stream(spec.seed, trial, sample, site) per (trial, sample).
+    Returns (rows, records, u), one entry per (trial, sample) the fault hit,
+    trial-major and in row order within a trial: rows[i] is a copy of that
+    sample's tensor with records[i] applied, and u[i] is the Bernoulli
+    uniform that decided the hit.  A sample is hit iff its u is below
+    spec.probability, and its element and material do not depend on the
+    probability: at any lower probability the faults are the records whose u
+    is below it.
     """
+    n_rows = acts.shape[0]
     n_elements = int(np.prod(acts.shape[1:]))
+    words = words.reshape(-1, 4)
     u = uniforms(words[:, 0])
     hit = np.nonzero(u < spec.probability)[0]
+    which, row = np.divmod(hit, n_rows)
     elements = (words[hit, 1] % np.uint64(n_elements)).astype(np.int64)
     material = words[hit, 2]
 
-    rows = np.ascontiguousarray(acts[hit])
+    rows = np.ascontiguousarray(acts[row])
     flat = rows.reshape(hit.size, n_elements).view(np.uint32)
     at = (np.arange(hit.size), elements)
     original = flat[at]
@@ -383,8 +393,8 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial: in
     flat[at] = corrupted
 
     records = np.empty(hit.size, dtype=RECORD_DTYPE)
-    records["trial"] = trial
-    records["sample"] = np.asarray(sample_ids, dtype=np.uint64)[hit]
+    records["trial"] = np.asarray(trial, dtype=np.uint64).reshape(-1)[which]
+    records["sample"] = np.asarray(sample_ids, dtype=np.uint64)[row]
     records["site"] = site
     records["element"] = elements.astype(np.uint64)
     records["bit"] = bits

@@ -197,15 +197,42 @@ class TestRunStochastic:
         from bitstorm.campaign import _worker_count
 
         monkeypatch.setenv("BITSTORM_THREADS", "3")
-        assert _worker_count(None) == 3
+        assert _worker_count(None, "layer") == 3
         monkeypatch.setenv("BITSTORM_THREADS", "0")
-        assert _worker_count(None) >= 1
+        assert _worker_count(None, "layer") >= 1
         for bad in ("abc", "-3"):
             monkeypatch.setenv("BITSTORM_THREADS", bad)
             with pytest.raises(ValidationError, match="BITSTORM_THREADS"):
-                _worker_count(None)
+                _worker_count(None, "layer")
         monkeypatch.delenv("BITSTORM_THREADS")
-        assert _worker_count(5) == 5
+        assert _worker_count(5, "layer") == 5
+
+    def test_op_mode_picks_one_worker(self, toy_prelu, tmp_path, monkeypatch):
+        """Op-wise, the picked worker count is 1; BITSTORM_THREADS or `workers=` still set it."""
+        import bitstorm.campaign as camp
+
+        monkeypatch.setattr(camp.os, "cpu_count", lambda: 4)
+        monkeypatch.delenv("BITSTORM_THREADS", raising=False)
+        assert (camp._worker_count(None, "op"), camp._worker_count(0, "op")) == (1, 1)
+        assert (camp._worker_count(None, "layer"), camp._worker_count(0, "layer")) == (4, 4)
+        pools = []
+
+        class Recording(camp.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(camp, "ThreadPoolExecutor", Recording)
+        model, dataset = toy_prelu
+        spec = CampaignSpec(mode="op", targets=["Add"], probabilities=[0.5], trials=4, metric="golden_run", seed=5)
+        run_stochastic(spec, model, dataset, cache_root=tmp_path)
+        assert pools == []
+        monkeypatch.setenv("BITSTORM_THREADS", "2")
+        run_stochastic(spec, model, dataset, cache_root=tmp_path)
+        assert pools == [2]
+        monkeypatch.delenv("BITSTORM_THREADS")
+        run_stochastic(spec, model, dataset, workers=3, cache_root=tmp_path)
+        assert pools == [2, 3]
 
     def test_deterministic_100_reports_most_critical_layer(self, toy, tmp_path, capsys):
         # which layer hurts most at 100% injection; reported rather than
@@ -237,10 +264,10 @@ class TestRunStochastic:
 
         real = camp.run_injected_layerwise
 
-        def flaky(model, cache, fault, trial):
+        def flaky(model, cache, fault, trials):
             if cache.layer == 1:
                 raise RuntimeError("simulated executor failure")
-            return real(model, cache, fault, trial)
+            return real(model, cache, fault, trials)
 
         monkeypatch.setattr(camp, "run_injected_layerwise", flaky)
         for name, probabilities in (("one_p", [1.0]), ("three_p", [0.0, 0.5, 1.0])):
@@ -254,18 +281,20 @@ class TestRunStochastic:
             assert [(c["target"], c["probability"]) for c in summary["cells"]] == [("0", p) for p in probabilities]
 
     def test_deterministic_across_workers(self, toy, tmp_path):
+        """Reports at one worker equal those at several, also when the trials split unevenly (7 at 3)."""
         model, dataset = toy
         small = _small(dataset, 16)
-        outputs = []
-        for workers, name in ((1, "a"), (4, "b")):
-            out = tmp_path / name
-            spec = CampaignSpec(mode="layer", targets=[2], probabilities=[0.5, 1.0], trials=8,
-                                metric="golden_run", seed=13, out_dir=out)
-            result = run_stochastic(spec, model, small, workers=workers)
-            emit_report(result, out)
-            outputs.append(out)
-        for name in (SUMMARY_FILE, ACCURACY_FILE, RECORDS_FILE, CMA_FILE, LAYERS_FILE):
-            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
+        for trials, workers in ((8, 4), (7, 3)):
+            outputs = []
+            for count, name in ((1, "a"), (workers, "b")):
+                out = tmp_path / f"{name}{trials}"
+                spec = CampaignSpec(mode="layer", targets=[2], probabilities=[0.5, 1.0], trials=trials,
+                                    metric="golden_run", seed=13, out_dir=out)
+                result = run_stochastic(spec, model, small, workers=count)
+                emit_report(result, out)
+                outputs.append(out)
+            for name in (SUMMARY_FILE, ACCURACY_FILE, RECORDS_FILE, CMA_FILE, LAYERS_FILE):
+                assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), (trials, workers, name)
 
 
 class TestProbabilityCoupling:

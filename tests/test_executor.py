@@ -165,8 +165,7 @@ class TestActivationCache:
         payload = cache.path
         digest_before = hashlib.sha256(payload.read_bytes()).hexdigest()
         spec = FaultSpec(mode="layer", target=6, fault="random_value", probability=1.0, seed=3)
-        for trial in range(3):
-            run_injected_layerwise(model, cache, spec, trial)
+        run_injected_layerwise(model, cache, spec, range(3))
         assert hashlib.sha256(payload.read_bytes()).hexdigest() == digest_before
 
 
@@ -176,7 +175,7 @@ class TestLayerwiseInjection:
         golden = golden_run(model, dataset)
         cache = build_cache(model, dataset, 4, 1 << 26, tmp_path / "c")
         spec = FaultSpec(mode="layer", target=4, fault="bit_flip_random", probability=0.0, seed=21)
-        preds, records, _ = run_injected_layerwise(model, cache, spec, trial=0)
+        (preds, records, _), = run_injected_layerwise(model, cache, spec, trials=[0])
         assert np.array_equal(preds, golden)
         assert records.size == 0
 
@@ -185,7 +184,7 @@ class TestLayerwiseInjection:
         subset = _small_dataset(dataset, 20)
         cache = build_cache(model, subset, 2, 1 << 26, tmp_path / "c")
         spec = FaultSpec(mode="layer", target=2, fault="bit_flip_random", probability=1.0, seed=22)
-        preds, records, _ = run_injected_layerwise(model, cache, spec, trial=5)
+        (preds, records, _), = run_injected_layerwise(model, cache, spec, trials=[5])
         assert records.size == 20
         assert np.array_equal(np.sort(records["sample"]), np.arange(20, dtype=np.uint64))
 
@@ -194,7 +193,7 @@ class TestLayerwiseInjection:
         cache = build_cache(model, _small_dataset(dataset, 4), 2, 1 << 26, tmp_path / "c")
         spec = FaultSpec(mode="layer", target=3, fault="zero", probability=1.0, seed=0)
         with pytest.raises(ValidationError, match="targets layer 3"):
-            run_injected_layerwise(model, cache, spec, trial=0)
+            run_injected_layerwise(model, cache, spec, trials=[0])
 
     def test_trial_holds_one_chunk_at_a_time(self, toy, tmp_path):
         """A spilled trial drops each chunk before it reads the next one.
@@ -208,10 +207,10 @@ class TestLayerwiseInjection:
         cache = build_cache(model, dataset, 0, 64 << 10, tmp_path / "c")
         assert cache.chunk_count > 2
         spec = FaultSpec(mode="layer", target=0, fault="bit_flip_random", probability=0.0, seed=3)
-        run_injected_layerwise(model, cache, spec, trial=1)  # numpy's lazy imports are not the trial's
+        run_injected_layerwise(model, cache, spec, trials=[1])  # numpy's lazy imports are not the trial's
         tracemalloc.start()
         try:
-            run_injected_layerwise(model, cache, spec, trial=0)
+            run_injected_layerwise(model, cache, spec, trials=[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -608,7 +607,7 @@ class TestRowSkipping:
         spec = FaultSpec(mode="layer", target=layer, fault=fault, probability=probability, seed=seed,
                          bit=bit if fault == "bit_flip_specific" else None)
         want_preds, want_records = _full_recompute(model, cache, spec, trial)
-        preds, records, _ = run_injected_layerwise(model, cache, spec, trial)
+        (preds, records, _), = run_injected_layerwise(model, cache, spec, [trial])
         assert np.array_equal(preds, want_preds)
         assert np.array_equal(records, want_records)
 
@@ -630,7 +629,7 @@ class TestRowSkipping:
             return real(model, layer, acts)
 
         monkeypatch.setattr(executor_mod, "tail_scores_batch", counting)
-        preds, records, _ = run_injected_layerwise(model, cache, spec, trial=0)
+        (preds, records, _), = run_injected_layerwise(model, cache, spec, trials=[0])
         changed = int(np.count_nonzero(records["original"] != records["corrupted"]))
         assert records.size == cache.sample_count
         assert sum(replayed) == changed and all(n > 0 for n in replayed)
@@ -660,13 +659,164 @@ class TestProbabilityCoupling:
         probabilities = sorted({*inner, *ends})
         top = FaultSpec(mode="layer", target=layer, fault=fault, probability=probabilities[-1], seed=seed,
                         bit=bit if fault == "bit_flip_specific" else None)
-        run = run_injected_layerwise(model, cache, top, trial)
+        run, = run_injected_layerwise(model, cache, top, [trial])
         for p in probabilities:
-            want_preds, want_records, want_u = run_injected_layerwise(
-                model, cache, dataclasses.replace(top, probability=p), trial)
+            (want_preds, want_records, want_u), = run_injected_layerwise(
+                model, cache, dataclasses.replace(top, probability=p), [trial])
             preds, records = at_probability(cache.golden, *run, p)
             assert np.array_equal(preds, want_preds), p
             assert records.dtype == RECORD_DTYPE and records.shape == want_records.shape, p
             for field in RECORD_DTYPE.names:
                 assert np.array_equal(records[field], want_records[field]), (p, field)
             assert (want_u < p).all()
+
+
+import math
+from collections import Counter
+
+from hypothesis import example
+
+import reference_layerwise
+from bitstorm.toygen import build_toy_prelu_cnn
+
+
+@pytest.fixture(scope="module")
+def prelu_caches(tmp_path_factory):
+    """(model, {budget: {layer: cache}}) for the PReLU toy; 2000 bytes spill its first four layers."""
+    model, dataset = build_toy_prelu_cnn()
+    root = tmp_path_factory.mktemp("prelu_caches")
+    layers = range(len(model.layers))
+    return model, {b: layer_caches(model, dataset, layers, b, root / str(b)) for b in (2000, NO_SPILL_BUDGET)}
+
+
+class TestTrialBatching:
+    """A range of trials, chunk-outer and trial-inner, equals one trial at a time, byte for byte."""
+
+    @given(which=st.sampled_from(["toy", "prelu", "relu"]), spill=st.booleans(), layer=st.integers(0, 11),
+           fault=st.sampled_from(FAULT_KINDS), bit=st.integers(0, 31), probability=st.sampled_from([0.0, 0.3, 1.0]),
+           seed=st.integers(0, 2**64 - 1), first=st.integers(1, 10**6), block=st.sampled_from([None, 1, 2, 3]),
+           extra=st.integers(1, 3), window=st.sampled_from([None, 24, 7]))
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @example(which="toy", spill=False, layer=8, fault="bit_flip_specific", bit=30, probability=1.0, seed=101,
+             first=3, block=None, extra=1, window=None)
+    def test_equals_per_trial_oracle(self, toy, toy_caches, prelu_caches, relu_caches, which, spill, layer, fault,
+                                     bit, probability, seed, first, block, extra, window):
+        """Ranges start above 0 and cross a trial-block boundary; windows are cut from chunks of more rows.
+
+        `block` sets trials per block (None: `_TRIAL_STREAMS` as it is, 6 trials on the 320-sample toy) and
+        `window` the window rows (None: `_BUILD_BATCH`, which cuts the toy's whole 320-row chunk in two).
+        """
+        if which == "toy":
+            model, caches = toy[0], toy_caches[SPILL_BUDGET if spill else NO_SPILL_BUDGET]
+        elif which == "prelu":
+            model, by_budget = prelu_caches
+            caches = by_budget[2000 if spill else NO_SPILL_BUDGET]
+        else:
+            model, by_budget = relu_caches
+            caches = by_budget[200 if spill else NO_SPILL_BUDGET]
+        layer %= len(model.layers)
+        cache = caches[layer]
+        spec = FaultSpec(mode="layer", target=layer, fault=fault, probability=probability, seed=seed,
+                         bit=bit if fault == "bit_flip_specific" else None)
+        with pytest.MonkeyPatch.context() as patch:
+            if block is not None:
+                patch.setattr(executor_mod, "_TRIAL_STREAMS", block * cache.sample_count)
+            if window is not None:
+                patch.setattr(executor_mod, "_BUILD_BATCH", window)
+            block = max(1, executor_mod._TRIAL_STREAMS // cache.sample_count)
+            trials = range(first, first + block + extra)
+            runs = run_injected_layerwise(model, cache, spec, trials)
+        assert len(runs) == len(trials)
+        for trial, run in zip(trials, runs):
+            for got, want, what in zip(run, reference_layerwise.run_trial(model, cache, spec, trial),
+                                       ("preds", "records", "u")):
+                assert (got.dtype, got.shape) == (want.dtype, want.shape), (trial, what)
+                assert got.tobytes() == want.tobytes(), (trial, what)
+
+    def test_rejects_a_range_with_gaps(self, toy_caches, toy):
+        spec = FaultSpec(mode="layer", target=8, fault="zero", probability=1.0, seed=1)
+        with pytest.raises(ValidationError, match="contiguous"):
+            run_injected_layerwise(toy[0], toy_caches[SPILL_BUDGET][8], spec, [0, 2])
+        assert run_injected_layerwise(toy[0], toy_caches[SPILL_BUDGET][8], spec, []) == []
+
+    def test_each_chunk_is_read_once_per_trial_block(self, toy, toy_caches, monkeypatch):
+        model, cache = toy[0], toy_caches[SPILL_BUDGET][8]
+        reads = Counter()
+        real = executor_mod.ActivationCache.iter_chunks
+
+        def counting(self, indices=None):
+            for start, acts in real(self, indices):
+                reads[start] += 1
+                yield start, acts
+
+        monkeypatch.setattr(executor_mod.ActivationCache, "iter_chunks", counting)
+        spec = FaultSpec(mode="layer", target=8, fault="bit_flip_random", probability=0.3, seed=4)
+        trials = range(2, 15)
+        block = max(1, executor_mod._TRIAL_STREAMS // cache.sample_count)
+        assert cache.chunk_count > 1 and block < len(trials)
+        run_injected_layerwise(model, cache, spec, trials)
+        starts = range(0, cache.sample_count, cache.samples_per_chunk)
+        assert reads == {start: math.ceil(len(trials) / block) for start in starts}
+
+    @pytest.mark.parametrize("layer,budget,trials", [(8, SPILL_BUDGET, 20), (0, NO_SPILL_BUDGET, 2)])
+    def test_tail_calls_stay_within_build_batch(self, toy, toy_caches, monkeypatch, layer, budget, trials):
+        """At p = 1 every row changes; no tail call takes more than `_BUILD_BATCH` rows.
+
+        Target 0 at the whole budget stores one 320-row chunk, which one trial used to replay in one call.
+        """
+        model, cache = toy[0], toy_caches[budget][layer]
+        replayed = []
+        real = executor_mod.tail_scores_batch
+
+        def counting(model, layer, acts):
+            replayed.append(acts.shape[0])
+            return real(model, layer, acts)
+
+        monkeypatch.setattr(executor_mod, "tail_scores_batch", counting)
+        spec = FaultSpec(mode="layer", target=layer, fault="bit_flip_specific", probability=1.0, seed=8, bit=30)
+        runs = run_injected_layerwise(model, cache, spec, range(trials))
+        changed = sum(int(np.count_nonzero(r["original"] != r["corrupted"])) for _, r, _ in runs)
+        assert changed == trials * cache.sample_count
+        assert sum(replayed) == changed
+        assert max(replayed) <= executor_mod._BUILD_BATCH
+
+    def test_trial_block_memory(self, toy, toy_caches, monkeypatch):
+        """Many trials hold one chunk, one block's words and one sub-block's hit copies at a time.
+
+        Bound, with n samples, b = `_TRIAL_STREAMS` // n trials a block and s rows a sub-block:
+          - one chunk and the file reader's buffer;
+          - the block's b·n streams at 24 words each: their 4 words, the 4-word counters `draw_words`
+            builds, `philox_block`'s 4 column copies, its 4-word stacked result and at most 8
+            temporaries of a round (about 20 words a stream were measured);
+          - the sub-block's s hit copies plus 128 bytes an entry for `inject_batch`'s own arrays
+            (uniform, hit index, trial and row indices, element, material, the two patterns and a
+            40-byte record);
+          - what the caller keeps: every trial's predictions (8 bytes a sample), records (40 bytes)
+            and uniforms (8 bytes), plus 56 bytes a record of the last block once more while its
+            records are put in trial order (their int64 order and the unsorted copy);
+          - 64 bytes a sample for the small arrays, as in the one-trial test above.
+        The tail's own scratch is not the loop's: it is stubbed to return zero scores here.  Drawing
+        all 40 trials' words at once, or reading the whole store at once, exceeds the bound.
+        """
+        model, cache = toy[0], toy_caches[SPILL_BUDGET][8]
+        n = cache.sample_count
+        classes = model.output_shapes[-1][0]
+        monkeypatch.setattr(executor_mod, "tail_scores_batch",
+                            lambda model, layer, rows: np.zeros((rows.shape[0], classes), dtype=F))
+        spec = FaultSpec(mode="layer", target=8, fault="bit_flip_specific", probability=1.0, seed=6, bit=30)
+        trials = range(7, 47)
+        run_injected_layerwise(model, cache, spec, [1])  # numpy's lazy imports are not the trials'
+        tracemalloc.start()
+        try:
+            runs = run_injected_layerwise(model, cache, spec, trials)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = executor_mod._TRIAL_STREAMS // n
+        sub_rows = min(block, executor_mod._BUILD_BATCH // cache.samples_per_chunk) * cache.samples_per_chunk
+        kept = sum(p.nbytes + r.nbytes + u.nbytes for p, r, u in runs)
+        last_block = sum(r.size for _, r, _ in runs[-(len(trials) % block or block):])
+        bound = (cache.chunk_bytes(0) + io.DEFAULT_BUFFER_SIZE + 24 * 8 * block * n
+                 + sub_rows * (cache.bytes_per_sample + 128) + kept + 56 * last_block + 64 * n)
+        assert len(trials) * n * 32 * 5 > bound  # every trial's words and Philox temporaries at once
+        assert peak <= bound, f"peak {peak} bytes, bound {bound} bytes"

@@ -357,3 +357,28 @@ class TestAgainstReference:
             want_out, applied = ref.corrupt(acts[i], index, fault, bit, w0)
             assert_bits_equal(out, want_out)
             assert dataclasses.astuple(rec) == (trial, s, site, index, *applied)
+
+    @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           samples=st.lists(U64, min_size=1, max_size=6, unique=True),
+           trials=st.lists(U64, min_size=1, max_size=4, unique=True),
+           fault=st.sampled_from(FAULT_KINDS), bit=st.integers(0, 31),
+           probability=st.sampled_from([0.0, 0.3, 1.0]), seed=U64, site=U64, values=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_trial_axis_equals_one_call_per_trial(self, shape, samples, trials, fault, bit, probability, seed,
+                                                   site, values):
+        """Several trials' words in one draw, injected in one call, equal one draw and one call per trial."""
+        bit = bit if fault == "bit_flip_specific" else None
+        spec = FaultSpec(mode="layer", target=0, fault=fault, probability=probability, seed=seed, bit=bit)
+        acts = np.random.default_rng(values).integers(0, 2**32, size=(len(samples), *shape), dtype=np.uint32).view(F)
+        ids = np.array(samples, dtype=np.uint64)
+        words = draw_words(seed, trials, ids, site)
+        assert words.shape == (len(trials), len(samples), 4)
+        per_trial = [inject_batch(acts, spec, draw_words(seed, t, ids, site), t, ids, site) for t in trials]
+        for k, t in enumerate(trials):
+            assert np.array_equal(words[k], draw_words(seed, t, ids, site))
+        rows, records, u = inject_batch(acts, spec, words, trials, ids, site)
+        assert_bits_equal(rows, np.concatenate([r for r, _, _ in per_trial]).reshape(rows.shape))
+        assert records.tobytes() == np.concatenate([r for _, r, _ in per_trial]).tobytes()
+        assert u.tobytes() == np.concatenate([x for _, _, x in per_trial]).tobytes()
+        with pytest.raises(ValidationError, match="trial"):
+            draw_words(seed, [*trials, -1], ids, site)
