@@ -43,8 +43,9 @@ import numpy as np
 from . import __version__
 from .engine import INVALID_PREDICTION, Model
 from .errors import ValidationError
-from .executor import at_probability, boundary_layers, layer_caches, run_injected_layerwise, run_injected_opwise
-from .faults import RECORD_DTYPE, RNG_ALGORITHM, FaultSpec, check_int, records_to_rows
+from .executor import (at_probability, boundary_layers, layer_caches, replay_layers, run_injected_layerwise,
+                       run_injected_opwise)
+from .faults import RNG_ALGORITHM, FaultSpec, check_int, concat_records, records_to_rows
 from .microops import INJECTABLE_KINDS, expand_prelu
 from .model_io import DEFAULT_CMA_EPSILON, DEFAULT_CMA_WINDOW, CampaignSpec, Dataset, replacing
 
@@ -168,7 +169,7 @@ def _make_cell(label: str, kind: str, shape: tuple, probability: float, outcomes
         max=max(accuracies),
         converged=check.converged,
         convergence_note=check.note,
-        records=_concat_records([r for _, r in outcomes]),
+        records=concat_records([r for _, r in outcomes]),
     )
 
 
@@ -254,12 +255,11 @@ def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: 
 def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int, cache_root: Path) -> CampaignResult:
     targets = resolve_targets(spec, model)
     if spec.mode == "layer":
-        layers = targets
+        caches = layer_caches(model, dataset, targets, spec.budget, cache_root, extra=replay_layers(model, targets))
     else:
         expanded = expand_prelu(model)
-        layers = boundary_layers(expanded, targets)
-    caches = layer_caches(model, dataset, layers, spec.budget, cache_root)
-    golden = caches[layers[0]].golden
+        caches = layer_caches(model, dataset, boundary_layers(expanded, targets), spec.budget, cache_root)
+    golden = next(iter(caches.values())).golden
     if spec.metric == "ground_truth":
         reference = dataset.labels.astype(np.int64)
         reference_accuracy = accuracy(golden, reference)
@@ -272,14 +272,13 @@ def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int,
     try:
         if spec.mode == "layer":
             for layer in targets:
-                cache = caches[layer]
                 fault = FaultSpec(mode="layer", target=layer, fault=spec.fault,
                                   probability=max(spec.probabilities), seed=spec.seed, bit=spec.bit)
 
-                def run_range(trials, fault=fault, cache=cache):
+                def run_range(trials, fault=fault):
                     outcomes = []
-                    for run in run_injected_layerwise(model, cache, fault, trials):
-                        derived = (at_probability(cache.golden, *run, p) for p in spec.probabilities)
+                    for run in run_injected_layerwise(model, caches, fault, trials):
+                        derived = (at_probability(golden, *run, p) for p in spec.probabilities)
                         outcomes.append([(accuracy(preds, reference), records) for preds, records in derived])
                     return outcomes
 
@@ -316,13 +315,6 @@ def run_deterministic_100(spec: CampaignSpec, model: Model, dataset: Dataset, wo
         raise ValidationError("deterministic 100% campaigns are layer-wise")
     fixed = replace(spec, probabilities=[1.0], metric="golden_run")
     return run_stochastic(fixed, model, dataset, workers=workers, cache_root=cache_root)
-
-
-def _concat_records(parts):
-    parts = [p for p in parts if p.size]
-    if not parts:
-        return np.empty(0, dtype=RECORD_DTYPE)
-    return np.concatenate(parts)
 
 
 # ---------------------------------------------------------------------------

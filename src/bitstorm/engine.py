@@ -306,20 +306,27 @@ def softmax(x: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def conv_padding(layer: Conv2D, in_shape: Shape) -> tuple:
+    """((top, bottom), (left, right)): the zeros `layer` adds around an (h, w, c) input.
+
+    `same` padding is split floor-left, ceil-right; `valid` adds none.
+    """
+    if layer.padding == "valid":
+        return (0, 0), (0, 0)
+    kh, kw = layer.kernel.shape[:2]
+    oh, ow, _ = layer.out_shape(in_shape)
+    pad_h = max((oh - 1) * layer.stride[0] + kh - in_shape[0], 0)
+    pad_w = max((ow - 1) * layer.stride[1] + kw - in_shape[1], 0)
+    return (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2)
+
+
 def _conv2d_batch(layer: Conv2D, x: np.ndarray) -> np.ndarray:
     kh, kw, cin, cout = layer.kernel.shape
     sh, sw = layer.stride
-    b, h, w, _ = x.shape
+    b = x.shape[0]
     oh, ow, _ = layer.out_shape(x.shape[1:])
     if layer.padding == "same":
-        pad_h = max((oh - 1) * sh + kh - h, 0)
-        pad_w = max((ow - 1) * sw + kw - w, 0)
-        # zero padding, split floor-left / ceil-right
-        x = np.pad(
-            x,
-            ((0, 0), (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2), (0, 0)),
-            mode="constant",
-        )
+        x = np.pad(x, ((0, 0), *conv_padding(layer, x.shape[1:]), (0, 0)), mode="constant")
     acc = np.empty((b, oh, ow, cout), dtype=F32)
     acc[...] = layer.bias
     term = np.empty_like(acc)

@@ -3,23 +3,39 @@
 Layer-wise campaigns split the model at the injection layer.  The golden
 pass runs every layer once per sample, `_BUILD_BATCH` samples at a time;
 `golden_run` keeps only its predictions, and a store build appends the
-output of each targeted layer to that layer's payload file, `layer_<k>.bin`,
-and stores the predictions in the store's one `golden.bin`.  Trials read a
-payload in chunks of at most `budget` bytes.  A store is reused only when
-its content key (format version, model and dataset samples) matches
-exactly; the budget is not part of it.
+output of each stored layer to that layer's payload file, `layer_<k>.bin`,
+and stores the predictions in the store's one `golden.bin`.  A layer-wise
+campaign stores each target and the layers its replays read
+(`replay_layers`).  Trials read a target's payload in chunks of at most
+`budget` bytes.  A store is reused only when its content key (format
+version, model and dataset samples) matches exactly; the budget is not part
+of it.
 
 Layer-wise replays run chunk-outer and trial-inner.  A range of trials of
 one target goes in blocks of `_TRIAL_STREAMS` (trial, sample) streams; a
 block draws its words in one Philox call and reads each chunk once.  Each
 chunk is cut into windows of at most `_BUILD_BATCH` rows, and a window
-takes the block's trials a few at a time, so that no injection or tail
-call handles more than `_BUILD_BATCH` rows.  Every trial corrupts copies of
-the stored rows its fault hit and replays the tail only for the rows whose
-activation the fault actually changed; every other row keeps its golden
-prediction.  This is bit-exact because every kernel in `engine` computes
-each sample from its own row in a fixed order, whatever else is in the
-batch.  The store is never mutated by a trial.
+takes the block's trials a few at a time, so that no injection or replay
+handles more than `_BUILD_BATCH` rows.  Every trial corrupts copies of the
+stored rows its fault hit and replays only the rows whose activation the
+fault actually changed; every other row keeps its golden prediction.
+
+A replayed row differs from the golden one in a single element, which
+reaches only a cone of each later map.  Through the spatial layers after
+the target (Conv2D, MaxPool2D and the elementwise layers, up to Flatten) a
+row carries only a box of each map that holds its cone.  A conv or pool
+runs on the box's receptive field, gathered from its stored golden input
+with the carried box written in; elementwise layers run on the box alone.
+A row whose box equals the stored golden output bit for bit has left the
+cone, keeps its golden prediction and leaves the batch.  At the first
+layer that is not spatial the box is written into the stored golden input
+rows and the rest of the model runs in full; a target at or after Flatten
+goes there at once.  The window's rows of each stored layer are read once,
+with one seek and one read, when a replay first needs them.  This is
+bit-exact because every kernel in `engine` computes each output element in
+a fixed order from its own inputs, whatever else is in the batch; only a
+NaN's payload can differ from a full recompute, and predictions read none.
+The store is never mutated by a trial.
 
 A sample's fault depends on (seed, trial, sample, site) and not on the
 probability, which only decides whether the sample is hit.  So the cells of
@@ -50,10 +66,10 @@ from pathlib import Path
 import numpy as np
 
 from . import engine
-from .engine import Model, forward_layer_batch, predict_batch, tail_scores_batch
+from .engine import Conv2D, MaxPool2D, Model, PReLU, conv_padding, forward_layer_batch, predict_batch, tail_scores_batch
 from .engine import head_batch  # noqa: F401  kept in this namespace: perfbench/test_selfcheck.py traces it here
 from .errors import ResourceError, ValidationError
-from .faults import RECORD_DTYPE, FaultSpec, draw_words, inject_batch, uniforms
+from .faults import FaultSpec, concat_records, draw_words, inject_batch, uniforms
 from .microops import MicroOpModel, run_microops_batch
 from .model_io import Dataset, replacing
 
@@ -196,14 +212,22 @@ class ActivationCache:
         with open(self.path, "rb") as fh:
             for k in range(self.chunk_count) if indices is None else indices:
                 start = k * self.samples_per_chunk
-                expected = self.chunk_bytes(k)
-                fh.seek(start * self.bytes_per_sample)
-                raw = fh.read(expected)
-                if len(raw) != expected:
-                    raise ValidationError(f"{self.path}: chunk {k} holds {len(raw)} bytes, "
-                                          f"manifest promises {expected}")
-                yield start, np.frombuffer(raw, dtype="<f4").reshape((-1, *self.shape))
-                del raw  # a caller that lets go of a chunk never holds two
+                # nothing here keeps the chunk, so a caller that lets go of it never holds two
+                yield start, self._read(fh, start, start + self.chunk_bytes(k) // self.bytes_per_sample)
+
+    def read_rows(self, start: int, stop: int) -> np.ndarray:
+        """The outputs of samples [start, stop), read-only, from one seek and one read."""
+        with open(self.path, "rb") as fh:
+            return self._read(fh, start, stop)
+
+    def _read(self, fh, start: int, stop: int) -> np.ndarray:
+        expected = (stop - start) * self.bytes_per_sample
+        fh.seek(start * self.bytes_per_sample)
+        raw = fh.read(expected)
+        if len(raw) != expected:
+            raise ValidationError(f"{self.path}: samples {start}..{stop - 1} hold {len(raw)} bytes, "
+                                  f"manifest promises {expected}")
+        return np.frombuffer(raw, dtype="<f4").reshape((-1, *self.shape))
 
 
 def _stored(root: Path, key: str, count: int):
@@ -223,21 +247,24 @@ def _stored(root: Path, key: str, count: int):
     return (golden, layers) if golden.size == count else None
 
 
-def layer_caches(model: Model, dataset: Dataset, layers, budget: int, cache_root) -> dict:
-    """The golden outputs of every layer in `layers`, stored under `cache_root`.
+def layer_caches(model: Model, dataset: Dataset, layers, budget: int, cache_root, extra=()) -> dict:
+    """The golden outputs of every layer in `layers` and `extra`, stored under `cache_root`.
 
     The store is one `store.json`, one `golden.bin` and a `layer_<k>.bin`
     payload per stored layer.  A reusable store's whole layers are read as
     they are; one forward pass builds every requested layer that is not, and
     adds it to the store.  `budget` only sets how many samples a chunk read
-    holds, so it never causes a pass.  Returns {layer: ActivationCache}.
+    holds, so it never causes a pass; one sample of each layer in `layers`
+    must fit it.  The layers in `extra` are read by row range (`read_rows`),
+    which the budget does not bound.  Returns {layer: ActivationCache}.
 
     A crash leaves no manifest, so a half-built store is never read: the
     manifest goes first, the new payloads and `golden.bin` are renamed into
     place whole once the pass is done, and the manifest is written last.
     """
     _check_pairing(model, dataset)
-    layers = list(layers)
+    chunked = list(layers)
+    layers = list(dict.fromkeys([*chunked, *extra]))
     root = Path(cache_root)
     views = {k: ActivationCache(path=root / f"layer_{k}.bin", layer=k, shape=shape, budget=int(budget),
                                 golden=np.empty(0, dtype=np.int64))
@@ -245,6 +272,7 @@ def layer_caches(model: Model, dataset: Dataset, layers, budget: int, cache_root
     for layer in layers:
         if layer not in views:
             raise ValidationError(f"layer index {layer} out of range for {len(model.layers)} layers")
+    for layer in chunked:
         if budget < views[layer].bytes_per_sample:
             raise ResourceError(f"memory budget {budget} bytes is below one sample's activation "
                                 f"({views[layer].bytes_per_sample} bytes)")
@@ -295,19 +323,55 @@ def build_cache(model: Model, dataset: Dataset, layer: int, budget: int, directo
 # ---------------------------------------------------------------------------
 
 
-def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec, trials):
+def replay_layers(model: Model, targets) -> list:
+    """The layers whose stored golden outputs the layer-wise replays of `targets` read, ascending.
+
+    A replay of target t reads the output of t and of every later layer a
+    cone passes through, up to the input of the first layer that is not
+    spatial (Flatten).
+    """
+    layers = set()
+    for target in targets:
+        stop = target + 1
+        while _spatial(model, stop):
+            stop += 1
+        layers.update(range(target, stop))
+    return sorted(layers)
+
+
+def _spatial(model: Model, index: int) -> bool:
+    """Whether layer `index` exists and maps an (h, w, c) map to another, so that a cone passes through it."""
+    return (index < len(model.layers) and len(model.input_shape_of(index)) == 3
+            and len(model.output_shapes[index]) == 3)
+
+
+def run_injected_layerwise(model: Model, caches: dict, spec: FaultSpec, trials):
     """Trials `trials` (a contiguous ascending range) of one target; one (preds, records, u) per trial.
 
-    Each trial injects at most once per sample into the stored activations.
-    The loop runs chunk-outer and trial-inner: the trials go in blocks of
+    `caches` is the store `layer_caches` returns for (at least)
+    replay_layers(model, [spec.target]).  Each trial injects at most once
+    per sample into the stored activations of the target.  The loop runs
+    chunk-outer and trial-inner: the trials go in blocks of
     max(1, _TRIAL_STREAMS // samples), each block draws its words in one
     call, and reads every chunk once.  A chunk is cut into windows of at
     most `_BUILD_BATCH` rows, and a window takes the block's trials in
     sub-blocks of max(1, _BUILD_BATCH // window rows); each sub-block makes
     one `inject_batch` call and replays the rows its faults changed (records
-    with original != corrupted) in one tail call of at most `_BUILD_BATCH`
-    rows.  Every other row keeps the golden prediction stored in the cache.
-    This is bit-exact because the tail computes each row from its own input.
+    with original != corrupted), at most `_BUILD_BATCH` of them.
+
+    A changed row differs from its golden map in one element, and through
+    the spatial layers after the target it carries only the box of each map
+    that this element can reach (its cone): each conv or pool runs on the
+    cone's receptive field, gathered from the layer's stored golden input,
+    and a row whose cone equals the golden output bit for bit keeps its
+    golden prediction from there on.  At the first layer that is not
+    spatial, the cone is written into the stored golden input and the rest
+    runs in full, in one tail call; a target at or after Flatten goes there
+    at once.  Every other row keeps the golden prediction stored in the
+    cache.  This is bit-exact because every kernel computes each output
+    element in a fixed order from its own inputs, whatever else is in the
+    batch; only a NaN's payload, which no prediction reads, may differ from
+    a full recompute.
 
     Per trial, u[i] is the Bernoulli uniform of records[i], and records are
     in sample order; `at_probability` derives from them the trial at any
@@ -315,28 +379,32 @@ def run_injected_layerwise(model: Model, cache: ActivationCache, spec: FaultSpec
     """
     if spec.mode != "layer":
         raise ValidationError("run_injected_layerwise requires an operation mode of 'layer'")
-    if cache.layer != spec.target:
-        raise ValidationError(f"cache holds layer {cache.layer} but spec targets layer {spec.target}")
+    missing = [layer for layer in replay_layers(model, [spec.target]) if layer not in caches]
+    if missing:
+        raise ValidationError(f"spec targets layer {spec.target}, but the golden store lacks the outputs "
+                              f"of layers {missing}")
     trials = list(trials)
     if trials != list(range(trials[0], trials[0] + len(trials)) if trials else []):
         raise ValidationError("trials must be a contiguous ascending range")
-    sample_ids = np.arange(cache.sample_count, dtype=np.uint64)
-    block = max(1, _TRIAL_STREAMS // cache.sample_count)
+    sample_ids = np.arange(caches[spec.target].sample_count, dtype=np.uint64)
+    block = max(1, _TRIAL_STREAMS // sample_ids.size)
     runs = []
     for lo in range(0, len(trials), block):
-        runs += _replay_block(model, cache, spec, trials[lo : lo + block], sample_ids)
+        runs += _replay_block(model, caches, spec, trials[lo : lo + block], sample_ids)
     return runs
 
 
-def _replay_block(model: Model, cache: ActivationCache, spec: FaultSpec, trials: list, sample_ids: np.ndarray):
+def _replay_block(model: Model, caches: dict, spec: FaultSpec, trials: list, sample_ids: np.ndarray):
     """The (preds, records, u) of each trial in `trials`, from one read of every chunk."""
+    cache = caches[spec.target]
     words = draw_words(spec.seed, trials, sample_ids, cache.layer)
     preds = np.tile(cache.golden, (len(trials), 1))
-    parts, us = [np.empty(0, dtype=RECORD_DTYPE)], [np.empty(0)]
+    parts, us = [], [np.empty(0)]
     for start, acts in cache.iter_chunks():
         for lo in range(0, acts.shape[0], _BUILD_BATCH):
             window = acts[lo : lo + _BUILD_BATCH]
             rows_of = slice(start + lo, start + lo + window.shape[0])
+            golden = _window_golden(caches, cache.layer, window, rows_of)
             step = max(1, _BUILD_BATCH // window.shape[0])
             for j in range(0, len(trials), step):
                 rows, records, u = inject_batch(window, spec, words[j : j + step, rows_of], trials[j : j + step],
@@ -348,18 +416,143 @@ def _replay_block(model: Model, cache: ActivationCache, spec: FaultSpec, trials:
                 changed = records["original"] != records["corrupted"]
                 if not changed.all():
                     rows, records = rows[changed], records[changed]
-                if rows.shape[0]:
-                    at = ((records["trial"] - np.uint64(trials[0])).astype(np.int64),
-                          records["sample"].astype(np.int64))
-                    preds[at] = predict_batch(tail_scores_batch(model, cache.layer, rows))
-                del rows  # one sub-block's hit copies at a time
+                if not records.size:
+                    continue
+                samples = records["sample"].astype(np.int64)
+                trial_of = (records["trial"] - np.uint64(trials[0])).astype(np.int64)
+                cones = _start_cone(model, cache.layer, rows, records["element"])
+                del rows  # one sub-block's hit copies at a time, and only until their cones are cut
+                live, scores = _replay_rows(model, cache.layer, *cones, samples - rows_of.start, golden)
+                preds[trial_of[live], samples[live]] = predict_batch(scores)
+            del golden  # the window's golden rows of the cone layers
         del acts, window  # neither outlives the next read
-    records, u = np.concatenate(parts), np.concatenate(us)
+    records, u = concat_records(parts), np.concatenate(us)
     del parts, us
     order = np.argsort(records["trial"], kind="stable")  # each trial's records are in sample order already
     records, u = records[order], u[order]
     cuts = np.searchsorted(records["trial"], np.array(trials[1:], dtype=np.uint64))
     return list(zip(preds, np.split(records, cuts), np.split(u, cuts)))
+
+
+def _window_golden(caches: dict, target: int, window: np.ndarray, rows_of: slice):
+    """golden(k): the stored outputs of layer k for the window's samples, each layer read once, on first use."""
+    stored = {target: window}
+
+    def golden(k: int) -> np.ndarray:
+        if k not in stored:
+            stored[k] = caches[k].read_rows(rows_of.start, rows_of.stop)
+        return stored[k]
+
+    return golden
+
+
+# ---------------------------------------------------------------------------
+# Cone replay
+# ---------------------------------------------------------------------------
+
+
+def _start_cone(model: Model, target: int, rows: np.ndarray, elements: np.ndarray):
+    """(top, left, cone): the 1 x 1 box, all channels, of each injected row at its changed element.
+
+    rows[i] is the output of `target` with flat element elements[i]
+    changed.  When that output is not an (h, w, c) map, the cone is the
+    whole row and top and left are None.
+    """
+    if len(model.output_shapes[target]) != 3:
+        return None, None, rows
+    _, w, c = model.output_shapes[target]
+    top, left = np.divmod(elements.astype(np.int64) // c, w)
+    return top, left, _box(rows, np.arange(rows.shape[0]), top, left, 1, 1)
+
+
+def _replay_rows(model: Model, target: int, top, left, cone: np.ndarray, samples: np.ndarray, golden):
+    """(live, scores): which injected rows may change their prediction, and their class scores.
+
+    (top, left, cone) is what `_start_cone` gives for the rows of window
+    samples `samples`; golden(k) gives the window's stored outputs of layer
+    k.  Rows whose cone vanishes are left out of `live`.
+    """
+    if top is None:
+        return np.arange(cone.shape[0]), tail_scores_batch(model, target, cone)
+    for index, live, top, left, cone in _cones(model, target, top, left, cone, samples, golden):
+        pass
+    if not live.size:
+        return live, np.empty((0, model.class_count), dtype=engine.F32)
+    full = golden(index)[samples[live]]
+    _paste(full, cone, top, left)
+    return live, tail_scores_batch(model, index, full)
+
+
+def _cones(model: Model, target: int, top, left, cone: np.ndarray, samples: np.ndarray, golden):
+    """Yield (layer, live, top, left, cone) at `target` and after each spatial layer that follows it.
+
+    cone[i] is the box of that layer's output at (top[i], left[i]), all
+    channels, for injected row live[i]; outside it the row's map equals the
+    golden one.  At the target the boxes are `_start_cone`'s.  A conv or
+    pool takes for its output box every output that the previous cone
+    reaches, clipped to the map, and computes it from the receptive field
+    of that box: the layer's golden input (zero where a `same` padding
+    lies) with the cone written in.  The box's size depends only on the
+    layer, so the rows go in one batch.  Elementwise layers run on the cone
+    as it is.  A row whose cone equals the golden output bit for bit leaves
+    `live`; iteration stops when none is left.
+    """
+    live = np.arange(cone.shape[0])
+    index = target
+    yield index, live, top, left, cone
+    while _spatial(model, index + 1) and live.size:
+        index += 1
+        layer = model.layers[index]
+        in_shape, (oh, ow, _) = model.input_shape_of(index), model.output_shapes[index]
+        if isinstance(layer, (Conv2D, MaxPool2D)):
+            if isinstance(layer, Conv2D):
+                (kh, kw), ((pad_top, _), (pad_left, _)) = layer.kernel.shape[:2], conv_padding(layer, in_shape)
+                layer = dataclasses.replace(layer, padding="valid")  # the box holds the padding
+            else:
+                (kh, kw), pad_top, pad_left = layer.window, 0, 0
+            sh, sw = layer.stride
+            out_h = min(oh, (cone.shape[1] + kh - 2) // sh + 1)
+            out_w = min(ow, (cone.shape[2] + kw - 2) // sw + 1)
+            # the first output whose window reaches the cone: ceil((top + pad - k + 1) / stride)
+            out_top = np.clip(-((kh - 1 - pad_top - top) // sh), 0, oh - out_h)
+            out_left = np.clip(-((kw - 1 - pad_left - left) // sw), 0, ow - out_w)
+            box_top, box_left = out_top * sh - pad_top, out_left * sw - pad_left
+            box = _box(golden(index - 1), samples[live], box_top, box_left,
+                       (out_h - 1) * sh + kh, (out_w - 1) * sw + kw)
+            _paste(box, cone, top - box_top, left - box_left)
+            cone = forward_layer_batch(layer, box)
+            top, left = out_top, out_left
+        else:
+            if isinstance(layer, PReLU):
+                alpha = np.broadcast_to(layer.alpha, in_shape)[None]  # one map for every row
+                alpha = _box(alpha, np.zeros_like(live), top, left, *cone.shape[1:3])  # each row's under its cone
+                layer = dataclasses.replace(layer, alpha=alpha)
+            cone = forward_layer_batch(layer, cone)
+        same = _box(golden(index), samples[live], top, left, *cone.shape[1:3])
+        changed = (cone.view(np.uint32) != same.view(np.uint32)).reshape(live.size, -1).any(axis=1)
+        if not changed.all():
+            live, top, left, cone = live[changed], top[changed], left[changed], cone[changed]
+        yield index, live, top, left, cone
+
+
+def _box(maps: np.ndarray, picks: np.ndarray, top: np.ndarray, left: np.ndarray, height: int, width: int):
+    """A (height, width) box of maps[picks[i]] at (top[i], left[i]) per row, zero where it leaves the map."""
+    h, w = maps.shape[1:3]
+    ii = top[:, None] + np.arange(height)
+    jj = left[:, None] + np.arange(width)
+    box = maps[picks[:, None, None], np.clip(ii, 0, h - 1)[:, :, None], np.clip(jj, 0, w - 1)[:, None, :]]
+    outside = ((ii < 0) | (ii >= h))[:, :, None] | ((jj < 0) | (jj >= w))[:, None, :]
+    box[outside] = 0
+    return box
+
+
+def _paste(maps: np.ndarray, boxes: np.ndarray, top: np.ndarray, left: np.ndarray) -> None:
+    """Write boxes[i] into maps[i] at (top[i], left[i]), dropping what falls outside the map."""
+    h, w = maps.shape[1:3]
+    ii = top[:, None] + np.arange(boxes.shape[1])
+    jj = left[:, None] + np.arange(boxes.shape[2])
+    row, i, j = np.nonzero(((ii >= 0) & (ii < h))[:, :, None] & ((jj >= 0) & (jj < w))[:, None, :])
+    maps[row, ii[row, i], jj[row, j]] = boxes[row, i, j]
 
 
 def at_probability(golden: np.ndarray, preds: np.ndarray, records: np.ndarray, u: np.ndarray, probability: float):
@@ -475,7 +668,5 @@ def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, caches: dict, 
                 scores = run_microops_batch(expanded, acts[batch - start], hook=hook, start=layer)
                 preds[batch] = predict_batch(scores)
             del acts  # before the next store chunk is read
-    if not parts:
-        return preds, np.empty(0, dtype=RECORD_DTYPE)
-    records = np.concatenate(parts)
+    records = concat_records(parts)
     return preds, records[np.lexsort((records["sample"], records["site"]))]

@@ -403,6 +403,16 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial, sa
     return rows, records, u[hit]
 
 
+def concat_records(parts) -> np.ndarray:
+    """The RECORD_DTYPE arrays of `parts` end to end, as one array (empty for no parts).
+
+    They are joined as unstructured bytes, which spares numpy a promotion of
+    the record fields for every part; the bytes are those np.concatenate gives.
+    """
+    raw = np.dtype((np.void, RECORD_DTYPE.itemsize))
+    return np.concatenate([np.empty(0, dtype=raw), *(p.view(raw) for p in parts)]).view(RECORD_DTYPE)
+
+
 #: Records whose fields `records_to_rows` turns into Python ints at a time:
 #: enough to pay for the calls, few enough that a large cell's ints never
 #: all exist at once.

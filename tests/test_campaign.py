@@ -264,10 +264,10 @@ class TestRunStochastic:
 
         real = camp.run_injected_layerwise
 
-        def flaky(model, cache, fault, trials):
-            if cache.layer == 1:
+        def flaky(model, caches, fault, trials):
+            if fault.target == 1:
                 raise RuntimeError("simulated executor failure")
-            return real(model, cache, fault, trials)
+            return real(model, caches, fault, trials)
 
         monkeypatch.setattr(camp, "run_injected_layerwise", flaky)
         for name, probabilities in (("one_p", [1.0]), ("three_p", [0.0, 0.5, 1.0])):
@@ -295,6 +295,26 @@ class TestRunStochastic:
                 outputs.append(out)
             for name in (SUMMARY_FILE, ACCURACY_FILE, RECORDS_FILE, CMA_FILE, LAYERS_FILE):
                 assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), (trials, workers, name)
+
+
+    def test_target_0_budget_between_its_row_and_the_next_layers(self, toy, tmp_path):
+        """A budget that holds one row of layer 0 but not of layer 1 still runs, with the same report bytes.
+
+        A replay of target 0 also reads the stored outputs of layers 1-7, by row range, so the budget must
+        not have to hold one of their rows.
+        """
+        model, dataset = toy
+        assert (4 * math.prod(model.output_shapes[0]), 4 * math.prod(model.output_shapes[1])) == (5184, 8192)
+        small = _small(dataset, 40)
+        outputs = []
+        for budget in (6000, None):
+            out = tmp_path / str(budget)
+            spec = CampaignSpec(mode="layer", targets=[0], probabilities=[0.5, 1.0], trials=3, metric="golden_run",
+                                seed=17, out_dir=out, **({"budget": budget} if budget else {}))
+            emit_report(run_stochastic(spec, model, small, workers=1), out)
+            outputs.append(out)
+        for name in (SUMMARY_FILE, ACCURACY_FILE, RECORDS_FILE, CMA_FILE, LAYERS_FILE):
+            assert (outputs[0] / name).read_bytes() == (outputs[1] / name).read_bytes(), name
 
 
 class TestProbabilityCoupling:

@@ -407,10 +407,10 @@ class TestInvalidInputs:
         real = camp.run_injected_layerwise
         state = {"cells_done": 0}
 
-        def interrupting(model, cache, fault, trials):
-            if cache.layer == 2 and fault.probability == 1.0:
+        def interrupting(model, caches, fault, trials):
+            if fault.target == 2 and fault.probability == 1.0:
                 raise KeyboardInterrupt
-            return real(model, cache, fault, trials)
+            return real(model, caches, fault, trials)
 
         monkeypatch.setattr(camp, "run_injected_layerwise", interrupting)
         config = _write_config(tmp_path / "config.json", toy_dir, target=[1, 2],

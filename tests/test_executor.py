@@ -19,6 +19,7 @@ from bitstorm.executor import (
     build_cache,
     golden_run,
     layer_caches,
+    replay_layers,
     run_injected_layerwise,
     run_injected_opwise,
     run_tail,
@@ -28,6 +29,11 @@ from bitstorm.microops import INJECTABLE_KINDS, expand_prelu
 from bitstorm.model_io import Dataset
 
 F = np.float32
+
+
+def _replay_store(model, dataset, target, budget, root):
+    """{layer: cache}: the store a layer-wise replay of `target` reads."""
+    return layer_caches(model, dataset, [target], budget, root, extra=replay_layers(model, [target]))
 
 
 def _small_dataset(dataset, count):
@@ -161,30 +167,30 @@ class TestActivationCache:
     def test_trials_leave_chunks_byte_identical(self, toy, tmp_path):
         model, dataset = toy
         subset = _small_dataset(dataset, 16)
-        cache = build_cache(model, subset, 6, 1 << 20, tmp_path / "c")
-        payload = cache.path
-        digest_before = hashlib.sha256(payload.read_bytes()).hexdigest()
+        caches = _replay_store(model, subset, 6, 1 << 20, tmp_path / "c")
+        payloads = [cache.path for cache in caches.values()]
+        digests_before = [hashlib.sha256(payload.read_bytes()).hexdigest() for payload in payloads]
         spec = FaultSpec(mode="layer", target=6, fault="random_value", probability=1.0, seed=3)
-        run_injected_layerwise(model, cache, spec, range(3))
-        assert hashlib.sha256(payload.read_bytes()).hexdigest() == digest_before
+        run_injected_layerwise(model, caches, spec, range(3))
+        assert [hashlib.sha256(payload.read_bytes()).hexdigest() for payload in payloads] == digests_before
 
 
 class TestLayerwiseInjection:
     def test_probability_zero_equals_golden(self, toy, tmp_path):
         model, dataset = toy
         golden = golden_run(model, dataset)
-        cache = build_cache(model, dataset, 4, 1 << 26, tmp_path / "c")
+        caches = _replay_store(model, dataset, 4, 1 << 26, tmp_path / "c")
         spec = FaultSpec(mode="layer", target=4, fault="bit_flip_random", probability=0.0, seed=21)
-        (preds, records, _), = run_injected_layerwise(model, cache, spec, trials=[0])
+        (preds, records, _), = run_injected_layerwise(model, caches, spec, trials=[0])
         assert np.array_equal(preds, golden)
         assert records.size == 0
 
     def test_probability_one_gives_one_record_per_sample(self, toy, tmp_path):
         model, dataset = toy
         subset = _small_dataset(dataset, 20)
-        cache = build_cache(model, subset, 2, 1 << 26, tmp_path / "c")
+        caches = _replay_store(model, subset, 2, 1 << 26, tmp_path / "c")
         spec = FaultSpec(mode="layer", target=2, fault="bit_flip_random", probability=1.0, seed=22)
-        (preds, records, _), = run_injected_layerwise(model, cache, spec, trials=[5])
+        (preds, records, _), = run_injected_layerwise(model, caches, spec, trials=[5])
         assert records.size == 20
         assert np.array_equal(np.sort(records["sample"]), np.arange(20, dtype=np.uint64))
 
@@ -193,7 +199,7 @@ class TestLayerwiseInjection:
         cache = build_cache(model, _small_dataset(dataset, 4), 2, 1 << 26, tmp_path / "c")
         spec = FaultSpec(mode="layer", target=3, fault="zero", probability=1.0, seed=0)
         with pytest.raises(ValidationError, match="targets layer 3"):
-            run_injected_layerwise(model, cache, spec, trials=[0])
+            run_injected_layerwise(model, {2: cache}, spec, trials=[0])
 
     def test_trial_holds_one_chunk_at_a_time(self, toy, tmp_path):
         """A spilled trial drops each chunk before it reads the next one.
@@ -204,13 +210,14 @@ class TestLayerwiseInjection:
         next read peaks near 2.35 chunks here.
         """
         model, dataset = toy
-        cache = build_cache(model, dataset, 0, 64 << 10, tmp_path / "c")
+        caches = _replay_store(model, dataset, 0, 64 << 10, tmp_path / "c")
+        cache = caches[0]
         assert cache.chunk_count > 2
         spec = FaultSpec(mode="layer", target=0, fault="bit_flip_random", probability=0.0, seed=3)
-        run_injected_layerwise(model, cache, spec, trials=[1])  # numpy's lazy imports are not the trial's
+        run_injected_layerwise(model, caches, spec, trials=[1])  # numpy's lazy imports are not the trial's
         tracemalloc.start()
         try:
-            run_injected_layerwise(model, cache, spec, trials=[0])
+            run_injected_layerwise(model, caches, spec, trials=[0])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -607,7 +614,7 @@ class TestRowSkipping:
         spec = FaultSpec(mode="layer", target=layer, fault=fault, probability=probability, seed=seed,
                          bit=bit if fault == "bit_flip_specific" else None)
         want_preds, want_records = _full_recompute(model, cache, spec, trial)
-        (preds, records, _), = run_injected_layerwise(model, cache, spec, [trial])
+        (preds, records, _), = run_injected_layerwise(model, caches, spec, [trial])
         assert np.array_equal(preds, want_preds)
         assert np.array_equal(records, want_records)
 
@@ -619,7 +626,8 @@ class TestRowSkipping:
     @pytest.mark.parametrize("fault", ["zero", "random_value"])
     def test_only_changed_rows_replay(self, relu_caches, monkeypatch, fault):
         model, by_budget = relu_caches
-        cache = by_budget[200][0]
+        caches = by_budget[200]
+        cache = caches[0]
         spec = FaultSpec(mode="layer", target=0, fault=fault, probability=1.0, seed=5)
         replayed = []
         real = executor_mod.tail_scores_batch
@@ -629,7 +637,7 @@ class TestRowSkipping:
             return real(model, layer, acts)
 
         monkeypatch.setattr(executor_mod, "tail_scores_batch", counting)
-        (preds, records, _), = run_injected_layerwise(model, cache, spec, trials=[0])
+        (preds, records, _), = run_injected_layerwise(model, caches, spec, trials=[0])
         changed = int(np.count_nonzero(records["original"] != records["corrupted"]))
         assert records.size == cache.sample_count
         assert sum(replayed) == changed and all(n > 0 for n in replayed)
@@ -659,10 +667,10 @@ class TestProbabilityCoupling:
         probabilities = sorted({*inner, *ends})
         top = FaultSpec(mode="layer", target=layer, fault=fault, probability=probabilities[-1], seed=seed,
                         bit=bit if fault == "bit_flip_specific" else None)
-        run, = run_injected_layerwise(model, cache, top, [trial])
+        run, = run_injected_layerwise(model, caches, top, [trial])
         for p in probabilities:
             (want_preds, want_records, want_u), = run_injected_layerwise(
-                model, cache, dataclasses.replace(top, probability=p), [trial])
+                model, caches, dataclasses.replace(top, probability=p), [trial])
             preds, records = at_probability(cache.golden, *run, p)
             assert np.array_equal(preds, want_preds), p
             assert records.dtype == RECORD_DTYPE and records.shape == want_records.shape, p
@@ -725,7 +733,7 @@ class TestTrialBatching:
                 patch.setattr(executor_mod, "_BUILD_BATCH", window)
             block = max(1, executor_mod._TRIAL_STREAMS // cache.sample_count)
             trials = range(first, first + block + extra)
-            runs = run_injected_layerwise(model, cache, spec, trials)
+            runs = run_injected_layerwise(model, caches, spec, trials)
         assert len(runs) == len(trials)
         for trial, run in zip(trials, runs):
             for got, want, what in zip(run, reference_layerwise.run_trial(model, cache, spec, trial),
@@ -736,11 +744,12 @@ class TestTrialBatching:
     def test_rejects_a_range_with_gaps(self, toy_caches, toy):
         spec = FaultSpec(mode="layer", target=8, fault="zero", probability=1.0, seed=1)
         with pytest.raises(ValidationError, match="contiguous"):
-            run_injected_layerwise(toy[0], toy_caches[SPILL_BUDGET][8], spec, [0, 2])
-        assert run_injected_layerwise(toy[0], toy_caches[SPILL_BUDGET][8], spec, []) == []
+            run_injected_layerwise(toy[0], toy_caches[SPILL_BUDGET], spec, [0, 2])
+        assert run_injected_layerwise(toy[0], toy_caches[SPILL_BUDGET], spec, []) == []
 
     def test_each_chunk_is_read_once_per_trial_block(self, toy, toy_caches, monkeypatch):
-        model, cache = toy[0], toy_caches[SPILL_BUDGET][8]
+        model, caches = toy[0], toy_caches[SPILL_BUDGET]
+        cache = caches[8]
         reads = Counter()
         real = executor_mod.ActivationCache.iter_chunks
 
@@ -754,7 +763,7 @@ class TestTrialBatching:
         trials = range(2, 15)
         block = max(1, executor_mod._TRIAL_STREAMS // cache.sample_count)
         assert cache.chunk_count > 1 and block < len(trials)
-        run_injected_layerwise(model, cache, spec, trials)
+        run_injected_layerwise(model, caches, spec, trials)
         starts = range(0, cache.sample_count, cache.samples_per_chunk)
         assert reads == {start: math.ceil(len(trials) / block) for start in starts}
 
@@ -764,7 +773,8 @@ class TestTrialBatching:
 
         Target 0 at the whole budget stores one 320-row chunk, which one trial used to replay in one call.
         """
-        model, cache = toy[0], toy_caches[budget][layer]
+        model, caches = toy[0], toy_caches[budget]
+        cache = caches[layer]
         replayed = []
         real = executor_mod.tail_scores_batch
 
@@ -774,7 +784,7 @@ class TestTrialBatching:
 
         monkeypatch.setattr(executor_mod, "tail_scores_batch", counting)
         spec = FaultSpec(mode="layer", target=layer, fault="bit_flip_specific", probability=1.0, seed=8, bit=30)
-        runs = run_injected_layerwise(model, cache, spec, range(trials))
+        runs = run_injected_layerwise(model, caches, spec, range(trials))
         changed = sum(int(np.count_nonzero(r["original"] != r["corrupted"])) for _, r, _ in runs)
         assert changed == trials * cache.sample_count
         assert sum(replayed) == changed
@@ -798,17 +808,18 @@ class TestTrialBatching:
         The tail's own scratch is not the loop's: it is stubbed to return zero scores here.  Drawing
         all 40 trials' words at once, or reading the whole store at once, exceeds the bound.
         """
-        model, cache = toy[0], toy_caches[SPILL_BUDGET][8]
+        model, caches = toy[0], toy_caches[SPILL_BUDGET]
+        cache = caches[8]
         n = cache.sample_count
         classes = model.output_shapes[-1][0]
         monkeypatch.setattr(executor_mod, "tail_scores_batch",
                             lambda model, layer, rows: np.zeros((rows.shape[0], classes), dtype=F))
         spec = FaultSpec(mode="layer", target=8, fault="bit_flip_specific", probability=1.0, seed=6, bit=30)
         trials = range(7, 47)
-        run_injected_layerwise(model, cache, spec, [1])  # numpy's lazy imports are not the trials'
+        run_injected_layerwise(model, caches, spec, [1])  # numpy's lazy imports are not the trials'
         tracemalloc.start()
         try:
-            runs = run_injected_layerwise(model, cache, spec, trials)
+            runs = run_injected_layerwise(model, caches, spec, trials)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -22,6 +22,7 @@ from bitstorm.faults import (
     PhiloxStream,
     RECORD_DTYPE,
     _ROW_BLOCK,
+    concat_records,
     corrupt_element,
     derive_stream,
     draw_words,
@@ -298,6 +299,21 @@ class TestInjectBatch:
         rows = records_to_rows(records)
         assert inspect.isgenerator(rows)  # emit_report writes each row as it comes
         assert list(rows) == [ref.csv_row(rec) for rec in records]
+
+    @given(sizes=st.lists(st.integers(0, 5), max_size=6), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_concat_records_equals_np_concatenate(self, sizes, seed):
+        """Joining records as raw bytes gives the bytes and dtype of np.concatenate; no part gives no record."""
+        rng = np.random.default_rng(seed)
+        parts = []
+        for size in sizes:
+            part = np.empty(size, dtype=RECORD_DTYPE)
+            part.view(np.uint8)[:] = rng.integers(0, 256, part.nbytes, dtype=np.uint8)
+            parts.append(part[::-1])  # a strided view joins like a copy
+        got = concat_records(parts)
+        want = np.concatenate(parts) if parts else np.empty(0, dtype=RECORD_DTYPE)
+        assert (got.dtype, got.shape) == (RECORD_DTYPE, want.shape)
+        assert got.tobytes() == want.tobytes()
 
 
 class TestUniformity:

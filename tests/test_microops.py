@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import assert_bits_equal
-from bitstorm.engine import Conv2D, Dense, Dropout, Flatten, MaxPool2D, Model, PReLU, ReLU, Softmax, forward_batch
+from strategies import random_models
+from bitstorm.engine import Dense, Model, PReLU, ReLU, Softmax, forward_batch
 from bitstorm.microops import expand_prelu, run_microops_batch
 from bitstorm.toygen import _WeightSource
 
@@ -81,42 +82,10 @@ class TestExpansionStructure:
         assert len(set(a)) == len(a)
 
 
-def _activation(source, kind, shape):
-    if kind == "relu":
-        return ReLU()
-    alpha_shape = {"scalar": (), "channel": shape[-1:], "full": shape}[kind.split("-")[1]]
-    return PReLU(alpha=source.uniform(alpha_shape, -0.5, 0.5))
-
-
-@st.composite
-def random_models(draw):
-    """A small conv net with a ReLU or PReLU layer first and another after its conv."""
-    activations = st.sampled_from(["relu", "prelu-scalar", "prelu-channel", "prelu-full"])
-    h, w, c = draw(st.integers(3, 6)), draw(st.integers(3, 6)), draw(st.integers(1, 3))
-    cout, padding, classes = draw(st.integers(1, 3)), draw(st.sampled_from(["valid", "same"])), draw(st.integers(2, 4))
-    source = _WeightSource(draw(st.integers(0, 2**32)))
-    conv = Conv2D(kernel=source.uniform((3, 3, c, cout), -0.6, 0.6), bias=source.uniform((cout,), -0.2, 0.2),
-                  padding=padding)
-    conv_shape = conv.out_shape((h, w, c))
-    layers = [_activation(source, draw(activations), (h, w, c)), conv,
-              _activation(source, draw(activations), conv_shape)]
-    if draw(st.booleans()) and min(conv_shape[:2]) >= 2:
-        layers.append(MaxPool2D(window=(2, 2), stride=(2, 2)))
-    if draw(st.booleans()):
-        layers.append(Dropout(rate=0.5))
-    width = int(np.prod(Model(input_shape=(h, w, c), layers=[*layers, Flatten()]).output_shapes[-1]))
-    layers += [Flatten(), Dense(weights=source.uniform((width, classes), -0.5, 0.5),
-                                bias=source.uniform((classes,), -0.1, 0.1))]
-    if draw(st.booleans()):
-        layers.append(Softmax())
-    model = Model(input_shape=(h, w, c), layers=layers)
-    return model, source.uniform((draw(st.integers(1, 5)), h, w, c), -3.0, 3.0)
-
-
 class TestExpansionFidelity:
-    @given(case=random_models())
+    @given(case=random_models(), data=st.data())
     @settings(max_examples=40, deadline=None)
-    def test_random_models_match_plain_forward(self, case):
+    def test_random_models_match_plain_forward(self, case, data):
         model, xs = case
         expanded = expand_prelu(model)
         ops = list(expanded.all_ops())
@@ -134,8 +103,9 @@ class TestExpansionFidelity:
         assert_bits_equal(run_microops_batch(expanded, xs), plain)
         assert_bits_equal(run_microops_batch(expanded, xs, hook=hook), plain)
         assert seen == [op.op_id for op in ops]
-        middle = forward_batch(model, xs, stop=2)  # the input of the second activation
-        assert_bits_equal(run_microops_batch(expanded, middle, start=2), plain)
+        start = data.draw(st.integers(0, len(model.layers) - 1), label="start")
+        middle = forward_batch(model, xs, stop=start)  # the input of layer `start`
+        assert_bits_equal(run_microops_batch(expanded, middle, start=start), plain)
 
     def test_expanded_matches_plain_forward_bitexact(self, toy_prelu):
         model, dataset = toy_prelu
