@@ -38,7 +38,7 @@ from .campaign import (
     run_stochastic,
 )
 from .errors import BitstormError, ResourceError, ValidationError
-from .executor import golden_run, layer_caches
+from .executor import golden_run, layer_caches, replay_layers
 from .faults import check_u64
 from .model_io import load_config, load_dataset, load_model, replacing
 from . import toygen
@@ -139,13 +139,12 @@ def cmd_cache(args, console: Console) -> int:
     targets = resolve_targets(spec, model)
     with _locked(spec.out_dir):
         console.attach(spec.out_dir)
-        caches = layer_caches(model, dataset, targets, spec.budget, spec.out_dir / "caches")
+        caches = layer_caches(model, dataset, targets, spec.budget, spec.out_dir / "caches",
+                              extra=replay_layers(model, targets))
         total = 0
         for layer, cache in caches.items():
-            console.line(
-                f"cache layer {layer} ({model.layers[layer].name}): "
-                f"{cache.total_bytes} bytes in {cache.chunk_count} chunk(s)"
-            )
+            reads = f"in {cache.chunk_count} chunk(s)" if layer in targets else "read by row range"
+            console.line(f"cache layer {layer} ({model.layers[layer].name}): {cache.total_bytes} bytes {reads}")
             total += cache.total_bytes
         console.line(f"total cache payload: {total} bytes")
     return EXIT_OK

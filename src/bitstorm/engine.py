@@ -6,15 +6,26 @@ bit-reproducible and can be mirrored by a scalar reference implementation:
 
 * Conv2D: accumulator starts at the bias, then terms are added in kernel
   row-major order with the input channel varying fastest (ki, kj, cin).
+  The kernel runs channel-major: the accumulator and the term are
+  (cout, n) arrays over the n output positions of a block of samples.
+  For each (ki, kj, cin) that input channel's strided patch is copied
+  into one contiguous n-float buffer, then one multiply and one add run
+  over rows of n floats.  Samples go in blocks that keep the accumulator
+  and the term each within _TERM_BYTES (one sample at least), and each
+  finished block is transposed into the (rows, oh, ow, cout) output.
 * Dense: accumulator starts at the bias, then input features in ascending
   index order.  Features go in blocks: the running sum and one block's
-  products fill an array of at most _DENSE_TERM_BYTES, and one
+  products fill an array of at most _TERM_BYTES, and one
   `np.add.reduce` over its leading axis sums it in sequence.  A batch
   whose output is one element (rows x outputs == 1), which numpy would sum
   pairwise, adds one feature at a time, as does an output too large for a
   block of four features.
 * Softmax: max-subtracted, exponential sum accumulated in ascending class
   order.
+
+Layouts and blocks set which elements one numpy call covers, never the
+order of one element's additions, so they change no bit but the payload of
+a NaN where two NaNs meet, which IEEE 754 leaves open.
 
 Max-based operations (ReLU, MaxPool2D) propagate NaN: a corrupted value
 must not be silently repaired by comparison semantics.
@@ -320,23 +331,41 @@ def conv_padding(layer: Conv2D, in_shape: Shape) -> tuple:
     return (pad_h // 2, pad_h - pad_h // 2), (pad_w // 2, pad_w - pad_w // 2)
 
 
+#: Bytes of each scratch array that a kernel call holds: a Conv2D sample
+#: block's accumulator and its term, and Dense's term block.
+_TERM_BYTES = 1 << 18
+
+
 def _conv2d_batch(layer: Conv2D, x: np.ndarray) -> np.ndarray:
     kh, kw, cin, cout = layer.kernel.shape
     sh, sw = layer.stride
-    b = x.shape[0]
+    rows = x.shape[0]
     oh, ow, _ = layer.out_shape(x.shape[1:])
     if layer.padding == "same":
         x = np.pad(x, ((0, 0), *conv_padding(layer, x.shape[1:]), (0, 0)), mode="constant")
-    acc = np.empty((b, oh, ow, cout), dtype=F32)
-    acc[...] = layer.bias
-    term = np.empty_like(acc)
-    for ki in range(kh):
-        for kj in range(kw):
-            for c in range(cin):
-                patch = x[:, ki : ki + (oh - 1) * sh + 1 : sh, kj : kj + (ow - 1) * sw + 1 : sw, c]
-                np.multiply(patch[..., None], layer.kernel[ki, kj, c], out=term)
-                np.add(acc, term, out=acc)
-    return acc
+    columns = layer.kernel[..., None]  # (kh, kw, cin, cout, 1): each term's weights down one column
+    out = np.empty((rows, oh, ow, cout), dtype=F32)
+    block = max(1, _TERM_BYTES // (4 * cout * oh * ow))
+    size = min(block, rows) * oh * ow
+    acc_buf, term_buf = np.empty((2, cout * size), dtype=F32)
+    patch_buf = np.empty(size, dtype=F32)
+    for start in range(0, rows, block):
+        xb = x[start : start + block]
+        b = xb.shape[0]
+        acc = acc_buf[: cout * b * oh * ow].reshape(cout, -1)
+        term = term_buf[: acc.size].reshape(cout, -1)
+        patch = patch_buf[: acc.shape[1]]
+        grid = patch.reshape(b, oh, ow)
+        acc[...] = layer.bias[:, None]
+        for ki in range(kh):
+            for kj in range(kw):
+                taps = xb[:, ki : ki + (oh - 1) * sh + 1 : sh, kj : kj + (ow - 1) * sw + 1 : sw]
+                for c in range(cin):
+                    np.copyto(grid, taps[..., c])
+                    np.multiply(patch, columns[ki, kj, c], out=term)  # input first, as in x * k
+                    np.add(acc, term, out=acc)
+        out[start : start + block] = acc.reshape(cout, b, oh, ow).transpose(1, 2, 3, 0)
+    return out
 
 
 def _maxpool_batch(layer: MaxPool2D, x: np.ndarray) -> np.ndarray:
@@ -354,17 +383,12 @@ def _maxpool_batch(layer: MaxPool2D, x: np.ndarray) -> np.ndarray:
     return acc
 
 
-#: Bytes of the term array `_dense_batch` reduces at once: the running sum
-#: and the products of one block of input features.
-_DENSE_TERM_BYTES = 1 << 16
-
-
 def _dense_batch(layer: Dense, x: np.ndarray) -> np.ndarray:
     n_in, n_out = layer.weights.shape
     rows = x.shape[0]
     acc = np.empty((rows, n_out), dtype=F32)
     acc[...] = layer.bias
-    block = _DENSE_TERM_BYTES // acc.nbytes - 1 if acc.size > 1 else 0
+    block = _TERM_BYTES // acc.nbytes - 1 if acc.size > 1 else 0
     if block < 4:
         # numpy would sum a lone output element's axis pairwise, and blocks
         # of fewer than four features are no faster than this loop

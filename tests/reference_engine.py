@@ -18,6 +18,7 @@ F = np.float32
 
 
 def conv2d_ref(x, kernel, bias, stride=(1, 1), padding="valid"):
+    """Bias, then each (ki, kj, cin) product in that order; OPEN_NAN where two NaNs meet."""
     kh, kw, cin, cout = kernel.shape
     sh, sw = stride
     h, w, _ = x.shape
@@ -33,16 +34,18 @@ def conv2d_ref(x, kernel, bias, stride=(1, 1), padding="valid"):
         ow = (w - kw) // sw + 1
         xp = x
     out = np.empty((oh, ow, cout), dtype=F)
-    for oy in range(oh):
-        for ox in range(ow):
-            for oc in range(cout):
-                acc = F(bias[oc])
-                for ki in range(kh):
-                    for kj in range(kw):
-                        for ci in range(cin):
-                            term = F(xp[oy * sh + ki, ox * sw + kj, ci]) * F(kernel[ki, kj, ci, oc])
-                            acc = acc + F(term)
-                out[oy, ox, oc] = acc
+    with np.errstate(all="ignore"):
+        for oy in range(oh):
+            for ox in range(ow):
+                for oc in range(cout):
+                    acc = F(bias[oc])
+                    for ki in range(kh):
+                        for kj in range(kw):
+                            for ci in range(cin):
+                                a, b = F(xp[oy * sh + ki, ox * sw + kj, ci]), F(kernel[ki, kj, ci, oc])
+                                term = _arith(a * b, a, b)
+                                acc = _arith(acc + term, acc, term)
+                    out[oy, ox, oc] = acc
     return out
 
 

@@ -146,7 +146,9 @@ class TestCache:
         assert main(["cache", "--config", str(config), "--budget", str(budget)]) == EXIT_OK
         assert f"{10 * per_sample} bytes in 4 chunk(s)" in capsys.readouterr().out
         root = tmp_path / "c" / "caches"
-        assert sorted(p.name for p in root.iterdir()) == ["golden.bin", "layer_3.bin", "store.json"]
+        # the target, and the cone layers after it up to Flatten, which its replays read by row range
+        assert sorted(p.name for p in root.iterdir()) == [
+            "golden.bin", *(f"layer_{k}.bin" for k in range(3, 8)), "store.json"]
         cache = layer_caches(load_model(toy_dir / "model.json"), small, [3], budget, root)[3]
         assert (cache.samples_per_chunk, cache.chunk_count) == (3, 4)
         assert [acts.nbytes for _, acts in cache.iter_chunks()] == [3 * per_sample] * 3 + [per_sample]
@@ -455,3 +457,23 @@ class TestCacheOnePass:
             ["store.json", "golden.bin", *(f"layer_{layer}.bin" for layer in range(12))])
         assert main(["campaign", "--config", str(config), "--budget", "65536"]) == EXIT_OK
         assert len(passes) == 1  # every layer was reused, at another budget too
+
+    def test_campaign_after_cache_runs_no_pass_for_a_target_before_flatten(self, toy_dir, tmp_path, monkeypatch):
+        import bitstorm.executor as executor_mod
+
+        ds = load_dataset(toy_dir / "dataset")
+        small = Dataset(samples=ds.samples[:12], labels=ds.labels[:12], class_count=ds.class_count)
+        save_dataset(small, tmp_path / "ds12")
+        config = _write_config(tmp_path / "config.json", toy_dir, dataset=str(tmp_path / "ds12"),
+                               target=[3], probabilities=[1.0], trials=2, out_dir=str(tmp_path / "r"))
+        assert main(["cache", "--config", str(config)]) == EXIT_OK
+        real = executor_mod._golden_pass
+        passes = []
+
+        def counting(*args, **kwargs):
+            passes.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(executor_mod, "_golden_pass", counting)
+        assert main(["campaign", "--config", str(config)]) == EXIT_OK
+        assert passes == []  # the cone layers 4-7 were stored by `cache` with the target

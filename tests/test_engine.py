@@ -196,6 +196,58 @@ class TestLayerKernels:
         expected = ref.conv2d_ref(x, layer.kernel, layer.bias, stride, padding)
         assert_bits_equal(forward_layer(layer, x), expected, f"conv {padding} {stride}")
 
+    @given(rows=st.integers(1, 40), kh=st.integers(1, 4), kw=st.integers(1, 4), sh=st.integers(1, 3),
+           sw=st.integers(1, 3), padding=st.sampled_from(["valid", "same"]), h=st.integers(1, 7),
+           w=st.integers(1, 7), cin=st.integers(1, 3), cout=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+           raw=st.sampled_from([0.0, 0.02, 0.5, 1.0]), special=st.sampled_from([0.0, 0.01, 0.2]),
+           block=st.one_of(st.none(), st.integers(1, 5)))
+    @example(rows=7, kh=3, kw=2, sh=2, sw=1, padding="same", h=6, w=5, cin=2, cout=3, seed=1, raw=0.5,
+             special=0.2, block=3)  # sample blocks of 3, 3 and 1 rows
+    @settings(max_examples=60, deadline=None)
+    def test_conv_matches_reference_on_any_bits(self, rows, kh, kw, sh, sw, padding, h, w, cin, cout, seed, raw,
+                                                special, block):
+        """Conv2D equals the scalar oracle bit for bit, in one sample block or in blocks of `block` rows."""
+        if padding == "valid":
+            h, w = max(h, kh), max(w, kw)
+        rng = np.random.default_rng(seed)
+        x = _mixed_bits(rng, (rows, h, w, cin), raw, special)
+        layer = Conv2D(kernel=_mixed_bits(rng, (kh, kw, cin, cout), raw, special),
+                       bias=_mixed_bits(rng, (cout,), raw, special), stride=(sh, sw), padding=padding)
+        oh, ow, _ = layer.out_shape((h, w, cin))
+        cap = engine._TERM_BYTES if block is None else block * 4 * cout * oh * ow
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(engine, "_TERM_BYTES", cap)
+            out = forward_layer_batch(layer, x)
+        expected = np.stack([ref.conv2d_ref(row, layer.kernel, layer.bias, (sh, sw), padding) for row in x])
+        open_nan = expected.view(np.uint32) == ref.OPEN_NAN.view(np.uint32)
+        assert np.isnan(out[open_nan]).all()
+        assert_bits_equal(np.where(open_nan, expected, out), expected,
+                          f"{rows}x{h}x{w}x{cin} k{kh}x{kw} s{sh}x{sw} {padding}, block {block}")
+
+    def test_conv_holds_one_sample_block(self, toy):
+        """Toy conv2 at 256 rows holds its output and one sample block's scratch, not a term per output.
+
+        The scratch is the block's accumulator and term, each within the
+        cap, and its patch buffer of one input channel.  4 KiB covers
+        numpy's iterator and Python objects.  An accumulator and a term the
+        size of the output would peak near 4.2 MB here; the bound is about
+        2.6 MB.
+        """
+        model, dataset = toy
+        layer = model.layers[1]
+        x = forward_layer_batch(model.layers[0], dataset.samples[:256])
+        forward_layer_batch(layer, x[:2])  # numpy's lazy imports are not the layer's
+        tracemalloc.start()
+        try:
+            out = forward_layer_batch(layer, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = engine._TERM_BYTES // (4 * layer.kernel.shape[3] * out.shape[1] * out.shape[2])
+        assert 1 < block < len(x)  # so the rows split into several sample blocks
+        bound = out.nbytes + 2 * engine._TERM_BYTES + 4 * block * out.shape[1] * out.shape[2] + (4 << 10)
+        assert peak <= bound, f"peak {peak} bytes, bound {bound} bytes"
+
     def test_maxpool_matches_reference(self):
         source = _WeightSource(22)
         layer = MaxPool2D(window=(3, 2), stride=(2, 2))
@@ -219,9 +271,9 @@ class TestLayerKernels:
         x = _mixed_bits(rng, (rows, n_in), raw, special)
         layer = Dense(weights=_mixed_bits(rng, (n_in, n_out), raw, special),
                       bias=_mixed_bits(rng, (n_out,), raw, special))
-        cap = engine._DENSE_TERM_BYTES if block is None else (block + 1) * 4 * rows * n_out
+        cap = engine._TERM_BYTES if block is None else (block + 1) * 4 * rows * n_out
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(engine, "_DENSE_TERM_BYTES", cap)
+            patch.setattr(engine, "_TERM_BYTES", cap)
             out = forward_layer_batch(layer, x)
         expected = np.stack([ref.dense_ref(row, layer.weights, layer.bias) for row in x])
         open_nan = expected.view(np.uint32) == ref.OPEN_NAN.view(np.uint32)
@@ -241,7 +293,7 @@ class TestLayerKernels:
         cap; 4 KiB covers the iterator and Python objects.
         """
         source = _WeightSource(26)
-        layer = Dense(weights=rnd(source, (96, 8)), bias=rnd(source, (8,)))
+        layer = Dense(weights=rnd(source, (96, 16)), bias=rnd(source, (16,)))
         x = rnd(source, (320, 96))
         forward_layer_batch(layer, x[:2])  # numpy's lazy imports are not the layer's
         tracemalloc.start()
@@ -250,8 +302,8 @@ class TestLayerKernels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert 97 * out.nbytes > 4 * engine._DENSE_TERM_BYTES  # so the cap splits the features into blocks
-        bound = engine._DENSE_TERM_BYTES + out.nbytes + 2 * 4 * np.getbufsize() + (4 << 10)
+        assert 97 * out.nbytes > 4 * engine._TERM_BYTES  # so the cap splits the features into blocks
+        bound = engine._TERM_BYTES + out.nbytes + 2 * 4 * np.getbufsize() + (4 << 10)
         assert peak <= bound, f"peak {peak} bytes, bound {bound} bytes"
 
     def test_prelu_matches_reference(self):

@@ -69,11 +69,13 @@ class TestGoldenRun:
     def test_holds_one_batch_at_a_time(self, toy):
         """The golden pass is bounded by its batch, not by the dataset.
 
-        Bound: `_BUILD_BATCH` samples of the widest layer's working set (its
-        input, and a conv's accumulator and product term, each the size of
-        its output), 8 bytes a sample for the predictions, and 256 KiB for
-        small arrays.  A pass over all 2560 samples at once peaks near
-        53 MiB here; the bound is about 5.5 MiB.
+        Bound: `_BUILD_BATCH` samples of the widest layer's working set,
+        counted as its input and twice its output, 8 bytes a sample for the
+        predictions, and 256 KiB for small arrays.  A conv holds its input,
+        its output and one sample block's scratch: an accumulator and a term
+        of at most `engine._TERM_BYTES` each and one channel's patch, less
+        than a second output at these widths.  A pass over all 2560 samples
+        at once peaks near 53 MiB here; the bound is about 5.5 MiB.
         """
         model, small = toy
         copies = 8
