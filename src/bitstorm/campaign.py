@@ -23,9 +23,8 @@ and never run a separate golden pass.
 
 Trials are independent.  Each worker takes one contiguous range of them,
 and the results are concatenated in trial order, so reports are
-byte-identical at any worker count.  Unless told otherwise, layer-wise
-campaigns use one worker per CPU (up to 8) and operation-wise ones a single
-worker, where a pool measured slower.
+byte-identical at any worker count.  Unless told otherwise, campaigns use a
+single worker, since a pool measured slower in both modes.
 """
 
 from __future__ import annotations
@@ -197,11 +196,12 @@ def resolve_targets(spec: CampaignSpec, model: Model) -> list:
     return spec.targets
 
 
-def _worker_count(workers, mode: str) -> int:
+def _worker_count(workers) -> int:
     """`workers`, else BITSTORM_THREADS (a non-negative integer); 0 or less picks the count.
 
-    The picked count is one per CPU, up to 8, layer-wise, and one op-wise,
-    where the pool measured slower than a single worker.
+    The picked count is 1 in either mode: since trials are batched and
+    replays follow the receptive-field cone, a pool measured slower than a
+    single worker on every benchmark workload (on 2 CPUs).
     """
     if workers is None:
         text = os.environ.get("BITSTORM_THREADS", "").strip() or "0"
@@ -209,7 +209,7 @@ def _worker_count(workers, mode: str) -> int:
             raise ValidationError(f"BITSTORM_THREADS must be a non-negative integer, got {text!r}")
         workers = int(text)
     if workers <= 0:
-        workers = 1 if mode == "op" else min(os.cpu_count() or 1, 8)
+        workers = 1
     return workers
 
 
@@ -237,7 +237,7 @@ def run_stochastic(spec: CampaignSpec, model: Model, dataset: Dataset, workers: 
     On an error mid-campaign, the cells completed so far are flushed to
     spec.out_dir (when set) before the exception propagates.
     """
-    workers = _worker_count(workers, spec.mode)
+    workers = _worker_count(workers)
     tmp = None
     if cache_root is None:
         if spec.out_dir is not None:
@@ -335,6 +335,8 @@ def emit_report(result: CampaignResult, out_dir) -> None:
 
     Each file is streamed to a temp file and renamed into place only when all
     five are complete, so a failed emit leaves the previous report intact.
+    records.csv is written one block of records at a time, as
+    `records_to_rows` formats them.
     """
     if not result.cells:
         raise ValidationError("cannot emit a report with no completed cells")
@@ -397,9 +399,7 @@ def emit_report(result: CampaignResult, out_dir) -> None:
         rec_fh.write(header + "\n")
         rec_fh.write("target,probability,trial,sample,site,element,bit,original_hex,corrupted_hex\n")
         for cell in result.cells:
-            prefix = f"{cell.target_label},{_fmt(cell.probability)},"
-            for row in records_to_rows(cell.records):
-                rec_fh.write(prefix + row + "\n")
+            rec_fh.writelines(records_to_rows(cell.records, f"{cell.target_label},{_fmt(cell.probability)},"))
 
         layers_fh.write(header + "\n")
         layers_fh.write("target,kind,output_shape,probability,mean,std,min,max\n")

@@ -11,8 +11,8 @@ Exit codes: 0 success, 1 internal error, 2 input/validation error,
 disk).  Console output is mirrored into run.log inside the output
 directory.  Concurrent invocations against the same output directory are
 rejected via an flock on a lock file, which the kernel releases when the
-process dies.  ``BITSTORM_THREADS``, a non-negative integer, caps the
-campaign worker count (0 = auto).
+process dies.  ``BITSTORM_THREADS``, a non-negative integer, sets the
+campaign worker count (0 = auto, which is one worker).
 """
 
 from __future__ import annotations
@@ -175,7 +175,7 @@ def _print_summary(console: Console, summary: dict):
 def cmd_campaign(args, console: Console) -> int:
     config = _apply_overrides(load_config(args.config), args)
     spec = config.spec
-    workers = _worker_count(None, spec.mode)
+    workers = _worker_count(None)
     model, dataset = _load_inputs(config)
     resolve_targets(spec, model)  # a bad thread count or target is rejected before out_dir is created
     with _locked(spec.out_dir):

@@ -13,6 +13,8 @@ bit-reproducible and can be mirrored by a scalar reference implementation:
   over rows of n floats.  Samples go in blocks that keep the accumulator
   and the term each within _TERM_BYTES (one sample at least), and each
   finished block is transposed into the (rows, oh, ow, cout) output.
+  A `same` conv pads one block at a time, inside a zero border that is
+  allocated once per call.
 * Dense: accumulator starts at the bias, then input features in ascending
   index order.  Features go in blocks: the running sum and one block's
   products fill an array of at most _TERM_BYTES, and one
@@ -339,19 +341,24 @@ _TERM_BYTES = 1 << 18
 def _conv2d_batch(layer: Conv2D, x: np.ndarray) -> np.ndarray:
     kh, kw, cin, cout = layer.kernel.shape
     sh, sw = layer.stride
-    rows = x.shape[0]
+    rows, h, w, _ = x.shape
     oh, ow, _ = layer.out_shape(x.shape[1:])
-    if layer.padding == "same":
-        x = np.pad(x, ((0, 0), *conv_padding(layer, x.shape[1:]), (0, 0)), mode="constant")
+    (top, bottom), (left, right) = conv_padding(layer, x.shape[1:])
     columns = layer.kernel[..., None]  # (kh, kw, cin, cout, 1): each term's weights down one column
     out = np.empty((rows, oh, ow, cout), dtype=F32)
     block = max(1, _TERM_BYTES // (4 * cout * oh * ow))
     size = min(block, rows) * oh * ow
     acc_buf, term_buf = np.empty((2, cout * size), dtype=F32)
     patch_buf = np.empty(size, dtype=F32)
+    if layer.padding == "same":
+        # one block's input goes inside a border of zeros that no block overwrites
+        padded = np.zeros((min(block, rows), top + h + bottom, left + w + right, cin), dtype=F32)
     for start in range(0, rows, block):
         xb = x[start : start + block]
         b = xb.shape[0]
+        if layer.padding == "same":
+            padded[:b, top : top + h, left : left + w] = xb
+            xb = padded[:b]
         acc = acc_buf[: cout * b * oh * ow].reshape(cout, -1)
         term = term_buf[: acc.size].reshape(cout, -1)
         patch = patch_buf[: acc.shape[1]]

@@ -25,6 +25,14 @@ and the bit it records) lives in `fault_patterns` alone, which both
 turns word 0 into the Bernoulli uniform.  The tests check both injectors
 against an independent oracle, `tests/reference_faults.py`, built on
 `numpy.random.Philox` and Python integers.
+
+`records_to_rows` turns records into the lines of records.csv a block of
+`_RECORD_BLOCK` records at a time: each block is one string of whole lines,
+formatted from the record columns by numpy with no Python code per record.
+Narrower values leave NUL bytes in a block's byte matrix, and dropping them
+is safe because no byte of a CSV line can be NUL: the fields are decimal
+digits, a minus sign and hex digits, and the prefix is a target label and a
+probability.
 """
 
 from __future__ import annotations
@@ -413,17 +421,86 @@ def concat_records(parts) -> np.ndarray:
     return np.concatenate([np.empty(0, dtype=raw), *(p.view(raw) for p in parts)]).view(RECORD_DTYPE)
 
 
-#: Records whose fields `records_to_rows` turns into Python ints at a time:
-#: enough to pay for the calls, few enough that a large cell's ints never
-#: all exist at once.
-_ROW_BLOCK = 256
+#: Records that `records_to_rows` formats as one block of lines: enough to
+#: pay for its numpy calls, few enough that a block's scratch stays a few
+#: hundred KiB however large the cell.
+_RECORD_BLOCK = 2048
+
+_TEN = np.uint64(10)
+_POWERS_OF_TEN = 10 ** np.arange(19, 0, -1, dtype=np.uint64)  # 10**19 ... 10: a u64 has up to 20 digits
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+_NIBBLE_SHIFTS = np.arange(28, -1, -4, dtype=np.uint32)[:, None]
+_ZERO, _COMMA, _MINUS, _NEWLINE = b"0,-\n"
 
 
-def records_to_rows(records: np.ndarray):
-    """Format a structured record array as injector CSV rows."""
-    for start in range(0, records.size, _ROW_BLOCK):
-        block = records[start : start + _ROW_BLOCK]
-        for trial, sample, site, element, bit, original, corrupted in zip(
-            *(block[name].tolist() for name in RECORD_DTYPE.names)
-        ):
-            yield f"{trial},{sample},{site},{element},{bit},{original:08x},{corrupted:08x}"
+def _decimal(values: np.ndarray) -> np.ndarray:
+    """The decimal digits of uint64 `values` as a (width, n) byte matrix, one row per digit, leading zeros NUL.
+
+    width is the digit count of the largest value; the units row is always
+    a digit, so 0 is "0".
+    """
+    width = len(str(int(values.max())))
+    digits = np.empty((width, values.size), dtype=np.uint8)
+    rest = values
+    for k in range(width - 1, -1, -1):
+        quotient = rest // _TEN
+        digits[k] = rest - quotient * _TEN
+        rest = quotient
+    digits += np.uint8(_ZERO)
+    # a digit is a leading zero where the value is below its row's power of ten
+    digits[:-1] *= values >= _POWERS_OF_TEN[_POWERS_OF_TEN.size - width + 1 :, None]
+    return digits
+
+
+def _hex8(values: np.ndarray) -> np.ndarray:
+    """The eight lowercase hex digits of uint32 `values` as an (8, n) byte matrix."""
+    return _HEX_DIGITS[(values >> _NIBBLE_SHIFTS) & np.uint32(0xF)]
+
+
+def _line_matrix(block: np.ndarray, prefix: bytes) -> np.ndarray:
+    """The injector CSV lines of a block of records, each `prefix` + row + newline, as a byte matrix.
+
+    Column i holds line i, one row per character position, with NUL where a
+    field is narrower than its rows.
+    """
+    bits = block["bit"].astype(np.int64)
+    fields = [
+        _decimal(block["trial"]),
+        _decimal(block["sample"]),
+        _decimal(block["site"]),
+        _decimal(block["element"]),
+        np.concatenate((np.where(bits < 0, np.uint8(_MINUS), np.uint8(0))[None],
+                        _decimal(np.abs(bits).astype(np.uint64)))),
+        _hex8(block["original"]),
+        _hex8(block["corrupted"]),
+    ]
+    mat = np.empty((len(prefix) + sum(len(f) + 1 for f in fields), block.size), dtype=np.uint8)
+    mat[: len(prefix)] = np.frombuffer(prefix, dtype=np.uint8)[:, None]
+    at = len(prefix)
+    for field in fields:
+        end = at + len(field)
+        mat[at:end] = field
+        mat[end] = _COMMA
+        at = end + 1
+    mat[-1] = _NEWLINE  # in place of the last field's comma
+    return mat
+
+
+def records_to_rows(records: np.ndarray, prefix: str):
+    """Yield the injector CSV lines of a structured record array, one string per block of records.
+
+    Each line is `prefix` + trial,sample,site,element,bit,original_hex,corrupted_hex
+    + newline; a string holds the lines of `_RECORD_BLOCK` records (fewer in
+    the last), so the lines of a large cell never all exist at once and no
+    Python code runs per record.  Each block is one uint8 matrix built from
+    whole record columns: a decimal field takes as many characters in every
+    line as its largest value in the block has digits, right-aligned with
+    its leading zeros NUL, and the NUL bytes are dropped at the end.  No
+    CSV byte is NUL, the prefix's included, so dropping them leaves exactly
+    the row text.
+    """
+    raw = prefix.encode("ascii")
+    for start in range(0, records.size, _RECORD_BLOCK):
+        # one expression holds no copy of the block past the text it yields
+        yield (_line_matrix(records[start : start + _RECORD_BLOCK], raw)
+               .T.tobytes().translate(None, b"\0").decode("ascii"))

@@ -197,24 +197,24 @@ class TestRunStochastic:
         from bitstorm.campaign import _worker_count
 
         monkeypatch.setenv("BITSTORM_THREADS", "3")
-        assert _worker_count(None, "layer") == 3
+        assert _worker_count(None) == 3
         monkeypatch.setenv("BITSTORM_THREADS", "0")
-        assert _worker_count(None, "layer") >= 1
+        assert _worker_count(None) == 1
         for bad in ("abc", "-3"):
             monkeypatch.setenv("BITSTORM_THREADS", bad)
             with pytest.raises(ValidationError, match="BITSTORM_THREADS"):
-                _worker_count(None, "layer")
+                _worker_count(None)
         monkeypatch.delenv("BITSTORM_THREADS")
-        assert _worker_count(5, "layer") == 5
+        assert _worker_count(5) == 5
 
     def test_op_mode_picks_one_worker(self, toy_prelu, tmp_path, monkeypatch):
-        """Op-wise, the picked worker count is 1; BITSTORM_THREADS or `workers=` still set it."""
+        """The picked worker count is 1 in either mode, whatever the CPU count; BITSTORM_THREADS or `workers=`
+        still set it."""
         import bitstorm.campaign as camp
 
         monkeypatch.setattr(camp.os, "cpu_count", lambda: 4)
         monkeypatch.delenv("BITSTORM_THREADS", raising=False)
-        assert (camp._worker_count(None, "op"), camp._worker_count(0, "op")) == (1, 1)
-        assert (camp._worker_count(None, "layer"), camp._worker_count(0, "layer")) == (4, 4)
+        assert (camp._worker_count(None), camp._worker_count(0)) == (1, 1)
         pools = []
 
         class Recording(camp.ThreadPoolExecutor):
@@ -434,10 +434,12 @@ class TestEmitReport:
         # another seed changes the header of every file, so any file replaced would show
         other = dataclasses.replace(result, spec=dataclasses.replace(spec, seed=spec.seed + 1))
         real = camp.records_to_rows
+        written = []
 
-        def failing(records):
-            yield from real(records)
-            if records.size:  # fail after the rows of the first cell with records
+        def failing(records, prefix):
+            for block in real(records, prefix):
+                yield block
+                written.append(block)  # emit_report asked for the next block, so this one is written
                 raise OSError(28, "No space left on device")
 
         report = tmp_path / "report"
@@ -445,6 +447,7 @@ class TestEmitReport:
         monkeypatch.setattr(camp, "records_to_rows", failing)
         with pytest.raises(OSError, match="No space"):
             emit_report(other, report)
+        assert len(written) == 1 and written[0]  # it failed after the first block that carries records
         for name in names:
             assert (report / name).read_bytes() == before[name], name
         assert sorted(p.name for p in report.iterdir()) == sorted(names)
@@ -453,6 +456,42 @@ class TestEmitReport:
         emit_report(other, report)
         for name in names:
             assert (report / name).read_bytes() != before[name], name
+
+    def test_records_are_written_a_block_at_a_time(self, mini_campaign, tmp_path):
+        """emit_report of one cell of 200k records holds a few blocks' text beside the records, not the cell's.
+
+        The records span every field's range, so each line is as long as
+        records.csv lines get: at most 128 bytes with this cell's prefix.
+        The bound is three copies of one block's text at that length (the
+        formatter's byte matrix, its bytes and the text the file encodes)
+        plus 64 KiB for the other files, file buffers and Python objects:
+        about 0.8 MiB, where the cell's text is 24 MB.
+        """
+        import dataclasses
+        import tracemalloc
+
+        from bitstorm.faults import RECORD_DTYPE, _RECORD_BLOCK
+
+        _, result, _ = mini_campaign
+        rng = np.random.default_rng(3)
+        records = np.empty(200_000, dtype=RECORD_DTYPE)
+        for name in RECORD_DTYPE.names:
+            kind = RECORD_DTYPE[name]
+            records[name] = rng.integers(np.iinfo(kind).min, np.iinfo(kind).max, records.size, dtype=kind,
+                                         endpoint=True)
+        cell = dataclasses.replace(result.cells[0], records=records)
+        one_cell = dataclasses.replace(result, cells=[cell])
+        emit_report(one_cell, tmp_path / "warm")  # numpy's lazy imports are not the writer's
+        tracemalloc.start()
+        try:
+            emit_report(one_cell, tmp_path / "report")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        lines = (tmp_path / "report" / RECORDS_FILE).read_bytes().splitlines()[2:]
+        assert len(lines) == records.size and max(map(len, lines)) < 128
+        bound = 3 * _RECORD_BLOCK * 128 + (64 << 10)
+        assert peak <= bound, f"peak {peak} bytes above the {records.nbytes}-byte records, bound {bound} bytes"
 
     def test_layers_csv_carries_kind_and_shape(self, mini_campaign):
         _, _, out = mini_campaign

@@ -248,6 +248,36 @@ class TestLayerKernels:
         bound = out.nbytes + 2 * engine._TERM_BYTES + 4 * block * out.shape[1] * out.shape[2] + (4 << 10)
         assert peak <= bound, f"peak {peak} bytes, bound {bound} bytes"
 
+    def test_same_conv_pads_one_sample_block(self, toy):
+        """Toy conv3 (`same`) at 256 rows pads one sample block at a time, not the whole batch.
+
+        Bound: the output, the block's accumulator and term within the cap,
+        its patch, one padded block of input, and the 256 KiB slack of
+        `test_holds_one_batch_at_a_time`.  A padded copy of all 256 rows
+        (819,200 B) peaks near 1.78 MB; the bound is about 1.77 MB.
+        """
+        model, dataset = toy
+        layer = model.layers[4]
+        assert layer.padding == "same"
+        x = dataset.samples[:256]
+        for head in model.layers[:4]:
+            x = forward_layer_batch(head, x)
+        forward_layer_batch(layer, x[:2])  # numpy's lazy imports are not the layer's
+        tracemalloc.start()
+        try:
+            out = forward_layer_batch(layer, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows, oh, ow, cout = out.shape
+        block = engine._TERM_BYTES // (4 * cout * oh * ow)
+        assert 1 < block < rows  # so the rows split into several sample blocks
+        for i in (0, block - 1, block, rows - 1):  # both sides of the first block boundary
+            assert_bits_equal(out[i], ref.conv2d_ref(x[i], layer.kernel, layer.bias, layer.stride, "same"))
+        padded = 4 * block * (x.shape[1] + 2) * (x.shape[2] + 2) * x.shape[3]  # a 3x3 kernel pads by one
+        bound = out.nbytes + 2 * engine._TERM_BYTES + 4 * block * oh * ow + padded + (256 << 10)
+        assert peak <= bound, f"peak {peak} bytes, bound {bound} bytes"
+
     def test_maxpool_matches_reference(self):
         source = _WeightSource(22)
         layer = MaxPool2D(window=(3, 2), stride=(2, 2))

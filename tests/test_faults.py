@@ -21,7 +21,7 @@ from bitstorm.faults import (
     NO_BIT,
     PhiloxStream,
     RECORD_DTYPE,
-    _ROW_BLOCK,
+    _RECORD_BLOCK,
     concat_records,
     corrupt_element,
     derive_stream,
@@ -279,26 +279,60 @@ class TestInjectBatch:
         acts = np.ones((2, 4), dtype=F)
         _, recs, _ = inject_batch(acts, spec, draw_words(13, 1, np.arange(2), 0), trial=1,
                                   sample_ids=np.arange(2), site=0)
-        rows = list(records_to_rows(recs))
-        assert len(rows) == 2
-        assert rows[0].split(",")[4] == "31"
-        assert rows[0].split(",")[5] == "3f800000"  # 1.0f
-        assert rows[0].split(",")[6] == "bf800000"  # -1.0f
+        blocks = list(records_to_rows(recs, "0,1.0,"))
+        assert len(blocks) == 1  # two records fill one block
+        rows = blocks[0].split("\n")
+        assert len(rows) == 3 and rows[2] == ""  # every line ends in a newline
+        assert rows[0].split(",")[:3] == ["0", "1.0", "1"]
+        assert rows[0].split(",")[6] == "31"
+        assert rows[0].split(",")[7] == "3f800000"  # 1.0f
+        assert rows[0].split(",")[8] == "bf800000"  # -1.0f
 
-    @pytest.mark.parametrize("size", [0, 1, _ROW_BLOCK - 1, _ROW_BLOCK, _ROW_BLOCK + 1, 3 * _ROW_BLOCK + 5])
-    def test_csv_rows_equal_field_by_field_formatting(self, size):
-        """Rows formatted from whole columns, block by block, equal one record at a time, byte for byte."""
+    @pytest.mark.parametrize("prefix", ["11,0.25,", "ConstMul,1.0,"])
+    @pytest.mark.parametrize("size", [0, 1, _RECORD_BLOCK - 1, _RECORD_BLOCK, _RECORD_BLOCK + 1,
+                                      3 * _RECORD_BLOCK + 5])
+    def test_csv_rows_equal_field_by_field_formatting(self, size, prefix):
+        """Blocks formatted from whole columns equal one record at a time, byte for byte.
+
+        Fields are drawn over their whole range, so a block's widest value
+        has 20 digits; `bit` also takes NO_BIT, 0..31 and the i4 extremes,
+        and the last record is the largest of every field.
+        """
         rng = np.random.default_rng(size)
         records = np.empty(size, dtype=RECORD_DTYPE)
         for name in RECORD_DTYPE.names:
             kind = RECORD_DTYPE[name]
             records[name] = rng.integers(np.iinfo(kind).min, np.iinfo(kind).max, size, dtype=kind, endpoint=True)
-        records["bit"] = np.where(rng.random(size) < 0.3, NO_BIT, rng.integers(0, 32, size))
+        bits = np.array([NO_BIT, *range(32), np.iinfo(np.int32).min, np.iinfo(np.int32).max])
+        records["bit"] = np.where(rng.random(size) < 0.5, rng.choice(bits, size), records["bit"])
         if size:
-            records[-1] = (U64_MAX, U64_MAX, U64_MAX, U64_MAX, NO_BIT, 2**32 - 1, 2**32 - 1)
-        rows = records_to_rows(records)
-        assert inspect.isgenerator(rows)  # emit_report writes each row as it comes
-        assert list(rows) == [ref.csv_row(rec) for rec in records]
+            records[-1] = (U64_MAX, U64_MAX, U64_MAX, U64_MAX, np.iinfo(np.int32).max, 2**32 - 1, 2**32 - 1)
+        blocks = records_to_rows(records, prefix)
+        assert inspect.isgenerator(blocks)  # emit_report writes each block as it comes
+        blocks = list(blocks)
+        assert len(blocks) == -(-size // _RECORD_BLOCK)
+        assert "".join(blocks) == "".join(prefix + ref.csv_row(rec) + "\n" for rec in records)
+
+    def test_csv_block_width_follows_its_largest_value(self):
+        """Each block is as wide as its own largest values: 1-digit, 20-digit and all-zero blocks side by side."""
+        size = 3 * _RECORD_BLOCK
+        rng = np.random.default_rng(7)
+        records = np.zeros(size, dtype=RECORD_DTYPE)
+        small = slice(0, _RECORD_BLOCK)
+        wide = slice(_RECORD_BLOCK, 2 * _RECORD_BLOCK)
+        for name in ("trial", "sample", "site", "element"):
+            records[name][small] = rng.integers(0, 10, _RECORD_BLOCK)
+            records[name][wide] = rng.integers(0, 10, _RECORD_BLOCK)
+            records[name][wide][::97] = U64_MAX - rng.integers(0, 10**6, records[name][wide][::97].size,
+                                                               dtype=np.uint64)
+        records["bit"][small] = rng.integers(-1, 10, _RECORD_BLOCK)
+        records["bit"][wide] = rng.integers(np.iinfo(np.int32).min, np.iinfo(np.int32).max, _RECORD_BLOCK)
+        records["original"][wide] = rng.integers(0, 2**32, _RECORD_BLOCK)
+        blocks = list(records_to_rows(records, "3,0.5,"))
+        for block, start in zip(blocks, range(0, size, _RECORD_BLOCK)):
+            part = records[start : start + _RECORD_BLOCK]
+            assert block == "".join("3,0.5," + ref.csv_row(rec) + "\n" for rec in part)
+        assert blocks[2] == "3,0.5,0,0,0,0,0,00000000,00000000\n" * _RECORD_BLOCK
 
     @given(sizes=st.lists(st.integers(0, 5), max_size=6), seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
