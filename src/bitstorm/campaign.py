@@ -11,9 +11,10 @@ Layer-wise, the cells of one target share their random streams: each
 and that one replay yields the trial's accuracy and records at every
 probability (`executor.at_probability`).  A worker runs a contiguous range
 of a target's trials in one `executor.run_injected_layerwise` call, which
-reads each chunk of the target's store once per block of trials rather
-than once per trial.  A target's cells are appended together once all its
-trials are done.
+reads each chunk of the target's store once for the whole range rather
+than once per trial, and replays each distinct corrupted row once,
+whichever of the range's trials hit it.  A target's cells are appended
+together once all its trials are done.
 
 Operation-wise, each trial replays only the samples its faults hit, from
 the golden input of their first hit layer, in chunks within the budget;

@@ -11,14 +11,17 @@ campaign stores each target and the layers its replays read
 version, model and dataset samples) matches exactly; the budget is not part
 of it.
 
-Layer-wise replays run chunk-outer and trial-inner.  A range of trials of
-one target goes in blocks of `_TRIAL_STREAMS` (trial, sample) streams; a
-block draws its words in one Philox call and reads each chunk once.  Each
-chunk is cut into windows of at most `_BUILD_BATCH` rows, and a window
-takes the block's trials a few at a time, so that no injection or replay
-handles more than `_BUILD_BATCH` rows.  Every trial corrupts copies of the
-stored rows its fault hit and replays only the rows whose activation the
-fault actually changed; every other row keeps its golden prediction.
+Layer-wise replays run chunk-outer and trial-inner.  A call takes a range
+of trials of one target and reads each chunk once.  Each chunk is cut into
+windows of at most `_BUILD_BATCH` rows, and a window draws and injects the
+words of the whole range in sub-blocks of at most `_TRIAL_STREAMS`
+(trial, sample) streams, one Philox call each; a chunk whose words for the
+whole range fit one such call draws them once for all its windows.  Only
+the rows whose activation a fault actually changed are replayed; every
+other row keeps its golden prediction.  A changed row is keyed by (window
+row, element, corrupted pattern), and each distinct key of the window is
+copied and replayed once, at most `_BUILD_BATCH` rows at a time, whichever
+trials hit it; every trial that holds the key takes its prediction.
 
 A replayed row differs from the golden one in a single element, which
 reaches only a cone of each later map.  Through the spatial layers after
@@ -33,8 +36,9 @@ rows and the rest of the model runs in full; a target at or after Flatten
 goes there at once.  The window's rows of each stored layer are read once,
 with one seek and one read, when a replay first needs them.  This is
 bit-exact because every kernel in `engine` computes each output element in
-a fixed order from its own inputs, whatever else is in the batch; only a
-NaN's payload can differ from a full recompute, and predictions read none.
+a fixed order from its own inputs, whatever else is in the batch, so equal
+corrupted rows give equal predictions; only a NaN's payload can differ
+from a full recompute, and predictions read none.
 The store is never mutated by a trial.
 
 A sample's fault depends on (seed, trial, sample, site) and not on the
@@ -84,8 +88,9 @@ CACHE_FORMAT_VERSION = 4
 #: transient compute buffers small.
 _BUILD_BATCH = 256
 
-#: (trial, sample) streams whose words a layer-wise replay draws at once; a
-#: block of max(1, _TRIAL_STREAMS // samples) trials shares each chunk read.
+#: (trial, sample) streams whose words a layer-wise replay draws at once: a
+#: window draws the words of max(1, _TRIAL_STREAMS // window rows) trials a
+#: call, and a chunk whose whole trial range fits draws it in one call.
 _TRIAL_STREAMS = 2048
 
 
@@ -351,13 +356,17 @@ def run_injected_layerwise(model: Model, caches: dict, spec: FaultSpec, trials):
     `caches` is the store `layer_caches` returns for (at least)
     replay_layers(model, [spec.target]).  Each trial injects at most once
     per sample into the stored activations of the target.  The loop runs
-    chunk-outer and trial-inner: the trials go in blocks of
-    max(1, _TRIAL_STREAMS // samples), each block draws its words in one
-    call, and reads every chunk once.  A chunk is cut into windows of at
-    most `_BUILD_BATCH` rows, and a window takes the block's trials in
-    sub-blocks of max(1, _BUILD_BATCH // window rows); each sub-block makes
-    one `inject_batch` call and replays the rows its faults changed (records
-    with original != corrupted), at most `_BUILD_BATCH` of them.
+    chunk, then window, then the whole trial range: every chunk is read
+    once per call and cut into windows of at most `_BUILD_BATCH` rows, and
+    a window draws its words and injects them in sub-blocks of
+    max(1, _TRIAL_STREAMS // window rows) trials, one `draw_words` and one
+    `inject_batch` call each (a chunk whose words for the whole range fit
+    `_TRIAL_STREAMS` streams draws them in one call for all its windows).
+    The records whose fault changed the activation (original != corrupted)
+    are keyed on (window row, element, corrupted pattern) over all the
+    call's trials, and each distinct key is replayed once, whichever trials
+    hit it, in batches of at most `_BUILD_BATCH` rows; its prediction is
+    scattered back to every trial that holds the key.
 
     A changed row differs from its golden map in one element, and through
     the spatial layers after the target it carries only the box of each map
@@ -370,8 +379,8 @@ def run_injected_layerwise(model: Model, caches: dict, spec: FaultSpec, trials):
     at once.  Every other row keeps the golden prediction stored in the
     cache.  This is bit-exact because every kernel computes each output
     element in a fixed order from its own inputs, whatever else is in the
-    batch; only a NaN's payload, which no prediction reads, may differ from
-    a full recompute.
+    batch, so equal corrupted rows get equal predictions; only a NaN's
+    payload, which no prediction reads, may differ from a full recompute.
 
     Per trial, u[i] is the Bernoulli uniform of records[i], and records are
     in sample order; `at_probability` derives from them the trial at any
@@ -386,52 +395,90 @@ def run_injected_layerwise(model: Model, caches: dict, spec: FaultSpec, trials):
     trials = list(trials)
     if trials != list(range(trials[0], trials[0] + len(trials)) if trials else []):
         raise ValidationError("trials must be a contiguous ascending range")
-    sample_ids = np.arange(caches[spec.target].sample_count, dtype=np.uint64)
-    block = max(1, _TRIAL_STREAMS // sample_ids.size)
-    runs = []
-    for lo in range(0, len(trials), block):
-        runs += _replay_block(model, caches, spec, trials[lo : lo + block], sample_ids)
-    return runs
-
-
-def _replay_block(model: Model, caches: dict, spec: FaultSpec, trials: list, sample_ids: np.ndarray):
-    """The (preds, records, u) of each trial in `trials`, from one read of every chunk."""
+    if not trials:
+        return []
     cache = caches[spec.target]
-    words = draw_words(spec.seed, trials, sample_ids, cache.layer)
+    sample_ids = np.arange(cache.sample_count, dtype=np.uint64)
     preds = np.tile(cache.golden, (len(trials), 1))
     parts, us = [], [np.empty(0)]
     for start, acts in cache.iter_chunks():
+        # a chunk whose words for the whole range fit one draw is drawn once, for all its windows
+        chunk_words = (draw_words(spec.seed, trials, sample_ids[start : start + acts.shape[0]], cache.layer)
+                       if len(trials) * acts.shape[0] <= _TRIAL_STREAMS else None)
         for lo in range(0, acts.shape[0], _BUILD_BATCH):
             window = acts[lo : lo + _BUILD_BATCH]
             rows_of = slice(start + lo, start + lo + window.shape[0])
-            golden = _window_golden(caches, cache.layer, window, rows_of)
-            step = max(1, _BUILD_BATCH // window.shape[0])
+            ids = sample_ids[rows_of]
+            step = max(1, _TRIAL_STREAMS // window.shape[0])
+            rows, changed = [], []  # per sub-block: the rows a fault changed and the records that changed them
             for j in range(0, len(trials), step):
-                rows, records, u = inject_batch(window, spec, words[j : j + step, rows_of], trials[j : j + step],
-                                                sample_ids[rows_of], cache.layer)
-                if not records.size:
-                    continue
+                block = trials[j : j + step]
+                words = (draw_words(spec.seed, block, ids, cache.layer) if chunk_words is None
+                         else chunk_words[:, lo : lo + window.shape[0]])
+                at, records, u = inject_batch(window, spec, words, block, ids, cache.layer)
+                del words
                 parts.append(records)
                 us.append(u)
-                changed = records["original"] != records["corrupted"]
-                if not changed.all():
-                    rows, records = rows[changed], records[changed]
-                if not records.size:
-                    continue
-                samples = records["sample"].astype(np.int64)
-                trial_of = (records["trial"] - np.uint64(trials[0])).astype(np.int64)
-                cones = _start_cone(model, cache.layer, rows, records["element"])
-                del rows  # one sub-block's hit copies at a time, and only until their cones are cut
-                live, scores = _replay_rows(model, cache.layer, *cones, samples - rows_of.start, golden)
-                preds[trial_of[live], samples[live]] = predict_batch(scores)
-            del golden  # the window's golden rows of the cone layers
-        del acts, window  # neither outlives the next read
+                keep = records["original"] != records["corrupted"]
+                rows.append(at[keep])
+                changed.append(records[keep])
+            rows, changed = np.concatenate(rows), concat_records(changed)
+            if rows.size:
+                golden = _window_golden(caches, cache.layer, window, rows_of)
+                pred = _replay_distinct(model, cache.layer, window, rows, changed, golden,
+                                        cache.golden[rows_of])
+                preds[(changed["trial"] - np.uint64(trials[0])).astype(np.intp), rows + rows_of.start] = pred
+                del golden  # the window's golden rows of the cone layers
+        del acts, window, chunk_words  # none outlives the next read
     records, u = concat_records(parts), np.concatenate(us)
     del parts, us
     order = np.argsort(records["trial"], kind="stable")  # each trial's records are in sample order already
     records, u = records[order], u[order]
     cuts = np.searchsorted(records["trial"], np.array(trials[1:], dtype=np.uint64))
     return list(zip(preds, np.split(records, cuts), np.split(u, cuts)))
+
+
+def _window_keys(rows: np.ndarray, elements: np.ndarray, corrupted: np.ndarray, n_rows: int, n_elements: int):
+    """One key per changed record of a window, equal iff (window row, element, corrupted pattern) are.
+
+    rows[i] < n_rows and elements[i] < n_elements.  While n_rows x
+    n_elements fits 32 bits, a key is the uint64
+    (row * n_elements + element) << 32 | corrupted; beyond that, it is the
+    20 big-endian bytes of the three, so no layer size makes two keys collide.
+    """
+    if n_rows * n_elements <= 1 << 32:
+        position = rows.astype(np.uint64) * np.uint64(n_elements) + elements.astype(np.uint64)
+        return (position << np.uint64(32)) | corrupted.astype(np.uint64)
+    keys = np.empty(rows.size, dtype=[("row", ">u8"), ("element", ">u8"), ("corrupted", ">u4")])
+    keys["row"], keys["element"], keys["corrupted"] = rows, elements, corrupted
+    return keys.view(np.dtype((np.void, keys.dtype.itemsize)))
+
+
+def _replay_distinct(model: Model, target: int, window: np.ndarray, rows: np.ndarray, records: np.ndarray,
+                     golden, golden_preds: np.ndarray) -> np.ndarray:
+    """The prediction of each changed record, from one replay of each distinct corrupted row.
+
+    records[i] changed window row rows[i]; golden(k) gives the window's
+    stored outputs of layer k and golden_preds its golden predictions.
+    Rows are copied only for the distinct keys, at most `_BUILD_BATCH` at
+    a time, and each copy lives only until its cone is cut.
+    """
+    elements = records["element"].astype(np.intp)
+    keys = _window_keys(rows, elements, records["corrupted"], window.shape[0], window[0].size)
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    del keys
+    pred = golden_preds[rows[first]]  # a row whose cone vanishes keeps its golden prediction
+    for lo in range(0, first.size, _BUILD_BATCH):
+        pick = first[lo : lo + _BUILD_BATCH]
+        copies = window[rows[pick]]
+        copies.reshape(pick.size, -1).view(np.uint32)[np.arange(pick.size), elements[pick]] = \
+            records["corrupted"][pick]
+        cones = _start_cone(model, target, copies, elements[pick])
+        del copies
+        live, scores = _replay_rows(model, target, *cones, rows[pick], golden)
+        del cones
+        pred[lo + live] = predict_batch(scores)
+    return pred[inverse]
 
 
 def _window_golden(caches: dict, target: int, window: np.ndarray, rows_of: slice):
@@ -648,7 +695,8 @@ def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, caches: dict, 
         rows, records, _ = inject_batch(out, spec, words[op.op_id][batch], trial, sample_ids[batch], op.op_id)
         if records.size:
             parts.append(records)
-            out[np.searchsorted(batch, records["sample"].astype(np.int64))] = rows  # out is fresh, unread so far
+            # out is fresh and unread so far; an index per axis writes it in place whatever its strides
+            out.view(np.uint32)[(rows, *np.unravel_index(records["element"], out.shape[1:]))] = records["corrupted"]
         return out
 
     for layer in sorted(site_layers):

@@ -19,11 +19,15 @@ All three words are consumed on every call, so per-call draw counts are
 constant and later records never depend on earlier Bernoulli outcomes.
 
 Campaigns inject through `inject_batch`, which applies the words of many
-samples at once.  The fault rule itself (the pattern each fault kind writes
-and the bit it records) lives in `fault_patterns` alone, which both
-`inject_batch` and the scalar `corrupt_element` call, and `uniforms` alone
-turns word 0 into the Bernoulli uniform.  The tests check both injectors
-against an independent oracle, `tests/reference_faults.py`, built on
+samples at once.  It copies no row: it returns the row index and the
+record of each hit, and a caller writes `records["corrupted"]` where it
+needs the corrupted tensor (in place into a fresh op output, or into
+copies of only the distinct corrupted rows of a layer-wise window).  The
+fault rule itself (the pattern each fault kind writes and the bit it
+records) lives in `fault_patterns` alone, which both `inject_batch` and
+the scalar `corrupt_element` call, and `uniforms` alone turns word 0 into
+the Bernoulli uniform.  The tests check both injectors against an
+independent oracle, `tests/reference_faults.py`, built on
 `numpy.random.Philox` and Python integers.
 
 `records_to_rows` turns records into the lines of records.csv a block of
@@ -377,12 +381,13 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial, sa
     stored rows.  Bit-for-bit equivalent to calling maybe_inject with
     derive_stream(spec.seed, trial, sample, site) per (trial, sample).
     Returns (rows, records, u), one entry per (trial, sample) the fault hit,
-    trial-major and in row order within a trial: rows[i] is a copy of that
-    sample's tensor with records[i] applied, and u[i] is the Bernoulli
-    uniform that decided the hit.  A sample is hit iff its u is below
-    spec.probability, and its element and material do not depend on the
-    probability: at any lower probability the faults are the records whose u
-    is below it.
+    trial-major and in row order within a trial: rows[i] is the index in
+    `acts` of the row that records[i] corrupts, and u[i] is the Bernoulli
+    uniform that decided the hit.  The corrupted tensor is acts[rows[i]]
+    with records[i]["corrupted"] written at its flat element; no row is
+    copied here.  A sample is hit iff its u is below spec.probability, and
+    its element and material do not depend on the probability: at any lower
+    probability the faults are the records whose u is below it.
     """
     n_rows = acts.shape[0]
     n_elements = int(np.prod(acts.shape[1:]))
@@ -390,25 +395,22 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial, sa
     u = uniforms(words[:, 0])
     hit = np.nonzero(u < spec.probability)[0]
     which, row = np.divmod(hit, n_rows)
-    elements = (words[hit, 1] % np.uint64(n_elements)).astype(np.int64)
+    elements = words[hit, 1] % np.uint64(n_elements)
     material = words[hit, 2]
 
-    rows = np.ascontiguousarray(acts[row])
-    flat = rows.reshape(hit.size, n_elements).view(np.uint32)
-    at = (np.arange(hit.size), elements)
-    original = flat[at]
+    # a same-size view and an index per axis read any strides without copying acts
+    original = acts.view(np.uint32)[(row, *np.unravel_index(elements, acts.shape[1:]))]
     corrupted, bits = fault_patterns(spec.fault, spec.bit, original, material)
-    flat[at] = corrupted
 
     records = np.empty(hit.size, dtype=RECORD_DTYPE)
     records["trial"] = np.asarray(trial, dtype=np.uint64).reshape(-1)[which]
     records["sample"] = np.asarray(sample_ids, dtype=np.uint64)[row]
     records["site"] = site
-    records["element"] = elements.astype(np.uint64)
+    records["element"] = elements
     records["bit"] = bits
     records["original"] = original
     records["corrupted"] = corrupted
-    return rows, records, u[hit]
+    return row, records, u[hit]
 
 
 def concat_records(parts) -> np.ndarray:

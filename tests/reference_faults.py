@@ -63,6 +63,18 @@ def corrupt(tensor, index, kind, bit, material):
     return out, (bit, original, corrupted)
 
 
+def corrupted_rows(acts, rows, records):
+    """Float32 copies of acts[rows[i]], each with records[i]'s corrupted pattern at its flat element.
+
+    `inject_batch` returns the row index and the record of each hit, not a
+    corrupted copy; the tests rebuild the copies here.
+    """
+    out = np.array(np.asarray(acts, dtype=np.float32)[np.asarray(rows, dtype=np.intp)])
+    flat = out.reshape(out.shape[0], math.prod(out.shape[1:])).view(np.uint32)
+    flat[np.arange(out.shape[0]), records["element"].astype(np.intp)] = records["corrupted"]
+    return out
+
+
 def inject(tensor, kind, bit, probability, seed, trial, sample, site):
     """One sample's injection: (u, out, record).
 

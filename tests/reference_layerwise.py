@@ -10,6 +10,7 @@ import numpy as np
 
 from bitstorm.engine import predict_batch, tail_scores_batch
 from bitstorm.faults import RECORD_DTYPE, draw_words, inject_batch
+from reference_faults import corrupted_rows
 
 
 def run_trial(model, cache, spec, trial: int):
@@ -25,11 +26,9 @@ def run_trial(model, cache, spec, trial: int):
             all_records.append(records)
             all_u.append(u)
             changed = records["original"] != records["corrupted"]
-            if not changed.all():
-                rows = rows[changed]
-            if rows.shape[0]:
+            if changed.any():
                 preds[records["sample"][changed].astype(np.int64)] = predict_batch(
-                    tail_scores_batch(model, cache.layer, rows))
+                    tail_scores_batch(model, cache.layer, corrupted_rows(acts, rows[changed], records[changed])))
     if not all_records:
         return preds, np.empty(0, dtype=RECORD_DTYPE), np.empty(0)
     return preds, np.concatenate(all_records), np.concatenate(all_u)

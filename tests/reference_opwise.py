@@ -11,6 +11,7 @@ import numpy as np
 from bitstorm.engine import predict_batch
 from bitstorm.faults import RECORD_DTYPE, draw_words, inject_batch
 from bitstorm.microops import run_microops_batch
+from reference_faults import corrupted_rows
 
 
 def run_opwise_whole_batch(expanded, dataset, spec, trial):
@@ -27,7 +28,7 @@ def run_opwise_whole_batch(expanded, dataset, spec, trial):
         rows, records, _ = inject_batch(out, spec, words, trial, sample_ids, op.op_id)
         if records.size:
             parts.append(records)
-            out[records["sample"].astype(np.int64)] = rows
+            out[rows] = corrupted_rows(out, rows, records)
         return out
 
     scores = run_microops_batch(expanded, dataset.samples, hook=hook)

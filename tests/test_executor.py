@@ -329,6 +329,7 @@ class TestPassThroughEquivalence:
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import reference_faults
 from bitstorm.engine import Dense, Flatten, Model, ReLU
 from bitstorm.executor import GOLDEN_FILE, STORE_FILE
 from bitstorm.faults import FAULT_KINDS, RECORD_DTYPE, draw_words, inject_batch
@@ -593,7 +594,7 @@ def _full_recompute(model, cache, spec, trial):
         words = draw_words(spec.seed, trial, ids, cache.layer)
         rows, recs, _ = inject_batch(acts, spec, words, trial, ids, site=cache.layer)
         corrupted = acts.copy()
-        corrupted[recs["sample"].astype(np.int64) - start] = rows
+        corrupted[rows] = reference_faults.corrupted_rows(acts, rows, recs)
         preds.append(predict_batch(tail_scores_batch(model, cache.layer, corrupted)))
         records.append(recs)
     return np.concatenate(preds), np.concatenate(records)
@@ -690,6 +691,12 @@ import reference_layerwise
 from bitstorm.toygen import build_toy_prelu_cnn
 
 
+def _distinct_keys(records) -> int:
+    """The distinct (sample, element, corrupted) among changed records: the distinct window keys of a call."""
+    changed = records[records["original"] != records["corrupted"]]
+    return len(set(zip(changed["sample"].tolist(), changed["element"].tolist(), changed["corrupted"].tolist())))
+
+
 @pytest.fixture(scope="module")
 def prelu_caches(tmp_path_factory):
     """(model, {budget: {layer: cache}}) for the PReLU toy; 2000 bytes spill its first four layers."""
@@ -704,17 +711,18 @@ class TestTrialBatching:
 
     @given(which=st.sampled_from(["toy", "prelu", "relu"]), spill=st.booleans(), layer=st.integers(0, 11),
            fault=st.sampled_from(FAULT_KINDS), bit=st.integers(0, 31), probability=st.sampled_from([0.0, 0.3, 1.0]),
-           seed=st.integers(0, 2**64 - 1), first=st.integers(1, 10**6), block=st.sampled_from([None, 1, 2, 3]),
+           seed=st.integers(0, 2**64 - 1), first=st.integers(1, 10**6), block=st.sampled_from([1, 2, 3]),
            extra=st.integers(1, 3), window=st.sampled_from([None, 24, 7]))
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @example(which="toy", spill=False, layer=8, fault="bit_flip_specific", bit=30, probability=1.0, seed=101,
              first=3, block=None, extra=1, window=None)
     def test_equals_per_trial_oracle(self, toy, toy_caches, prelu_caches, relu_caches, which, spill, layer, fault,
                                      bit, probability, seed, first, block, extra, window):
-        """Ranges start above 0 and cross a trial-block boundary; windows are cut from chunks of more rows.
+        """Ranges start above 0 and cross a draw sub-block boundary; windows are cut from chunks of more rows.
 
-        `block` sets trials per block (None: `_TRIAL_STREAMS` as it is, 6 trials on the 320-sample toy) and
-        `window` the window rows (None: `_BUILD_BATCH`, which cuts the toy's whole 320-row chunk in two).
+        `block` sets the trials of a full window's draw sub-block (None: `_TRIAL_STREAMS` as it is, 8 trials
+        on a 256-row window) and `window` the window rows (None: `_BUILD_BATCH`, which cuts the toy's whole
+        320-row chunk in two).  The range holds one sub-block and 1-3 trials more.
         """
         if which == "toy":
             model, caches = toy[0], toy_caches[SPILL_BUDGET if spill else NO_SPILL_BUDGET]
@@ -729,11 +737,12 @@ class TestTrialBatching:
         spec = FaultSpec(mode="layer", target=layer, fault=fault, probability=probability, seed=seed,
                          bit=bit if fault == "bit_flip_specific" else None)
         with pytest.MonkeyPatch.context() as patch:
-            if block is not None:
-                patch.setattr(executor_mod, "_TRIAL_STREAMS", block * cache.sample_count)
             if window is not None:
                 patch.setattr(executor_mod, "_BUILD_BATCH", window)
-            block = max(1, executor_mod._TRIAL_STREAMS // cache.sample_count)
+            rows = min(executor_mod._BUILD_BATCH, cache.samples_per_chunk)  # of every window but a chunk's last
+            if block is not None:
+                patch.setattr(executor_mod, "_TRIAL_STREAMS", block * rows)
+            block = max(1, executor_mod._TRIAL_STREAMS // rows)
             trials = range(first, first + block + extra)
             runs = run_injected_layerwise(model, caches, spec, trials)
         assert len(runs) == len(trials)
@@ -749,31 +758,43 @@ class TestTrialBatching:
             run_injected_layerwise(toy[0], toy_caches[SPILL_BUDGET], spec, [0, 2])
         assert run_injected_layerwise(toy[0], toy_caches[SPILL_BUDGET], spec, []) == []
 
-    def test_each_chunk_is_read_once_per_trial_block(self, toy, toy_caches, monkeypatch):
+    def test_each_chunk_is_read_once_per_call(self, toy, toy_caches, monkeypatch):
+        """However many draw sub-blocks a window takes, every chunk is read once per call."""
         model, caches = toy[0], toy_caches[SPILL_BUDGET]
         cache = caches[8]
-        reads = Counter()
-        real = executor_mod.ActivationCache.iter_chunks
+        reads, draws = Counter(), []
+        real, real_draw = executor_mod.ActivationCache.iter_chunks, executor_mod.draw_words
 
         def counting(self, indices=None):
             for start, acts in real(self, indices):
                 reads[start] += 1
                 yield start, acts
 
+        def drawing(seed, trial, sample_ids, site):
+            draws.append((len(trial), len(sample_ids)))
+            return real_draw(seed, trial, sample_ids, site)
+
         monkeypatch.setattr(executor_mod.ActivationCache, "iter_chunks", counting)
+        monkeypatch.setattr(executor_mod, "draw_words", drawing)
+        monkeypatch.setattr(executor_mod, "_TRIAL_STREAMS", 4 * cache.samples_per_chunk)
         spec = FaultSpec(mode="layer", target=8, fault="bit_flip_random", probability=0.3, seed=4)
         trials = range(2, 15)
-        block = max(1, executor_mod._TRIAL_STREAMS // cache.sample_count)
-        assert cache.chunk_count > 1 and block < len(trials)
+        assert cache.chunk_count > 1 and cache.samples_per_chunk < executor_mod._BUILD_BATCH
         run_injected_layerwise(model, caches, spec, trials)
         starts = range(0, cache.sample_count, cache.samples_per_chunk)
-        assert reads == {start: math.ceil(len(trials) / block) for start in starts}
+        assert reads == {start: 1 for start in starts}
+        # a full chunk's window draws 4 trials at a time; the last chunk's 5 rows take all 13 trials in one draw
+        rows = cache.samples_per_chunk
+        assert draws == [(4, rows), (4, rows), (4, rows), (1, rows)] * (cache.chunk_count - 1) + [(13, 5)]
+        assert max(n * rows for n, rows in draws) <= executor_mod._TRIAL_STREAMS
 
     @pytest.mark.parametrize("layer,budget,trials", [(8, SPILL_BUDGET, 20), (0, NO_SPILL_BUDGET, 2)])
     def test_tail_calls_stay_within_build_batch(self, toy, toy_caches, monkeypatch, layer, budget, trials):
-        """At p = 1 every row changes; no tail call takes more than `_BUILD_BATCH` rows.
+        """At p = 1 every row changes; the tail takes each distinct changed row once, `_BUILD_BATCH` at most a call.
 
-        Target 0 at the whole budget stores one 320-row chunk, which one trial used to replay in one call.
+        A changed row's key is (window row, element, corrupted pattern), and a window's rows are its samples,
+        so the distinct keys of a call are its distinct (sample, element, corrupted) records.  Target 0 at the
+        whole budget stores one 320-row chunk, which one trial used to replay in one call.
         """
         model, caches = toy[0], toy_caches[budget]
         cache = caches[layer]
@@ -787,28 +808,63 @@ class TestTrialBatching:
         monkeypatch.setattr(executor_mod, "tail_scores_batch", counting)
         spec = FaultSpec(mode="layer", target=layer, fault="bit_flip_specific", probability=1.0, seed=8, bit=30)
         runs = run_injected_layerwise(model, caches, spec, range(trials))
-        changed = sum(int(np.count_nonzero(r["original"] != r["corrupted"])) for _, r, _ in runs)
-        assert changed == trials * cache.sample_count
-        assert sum(replayed) == changed
+        records = np.concatenate([r for _, r, _ in runs])
+        assert np.count_nonzero(records["original"] != records["corrupted"]) == trials * cache.sample_count
+        distinct = _distinct_keys(records)
+        assert distinct < records.size if layer == 8 else distinct <= records.size
+        assert sum(replayed) == distinct
         assert max(replayed) <= executor_mod._BUILD_BATCH
 
-    def test_trial_block_memory(self, toy, toy_caches, monkeypatch):
-        """Many trials hold one chunk, one block's words and one sub-block's hit copies at a time.
+    def test_a_key_is_replayed_once_across_draw_sub_blocks(self, toy, toy_caches, monkeypatch):
+        """A key that an earlier draw sub-block of a window replayed is not replayed again by a later one.
 
-        Bound, with n samples, b = `_TRIAL_STREAMS` // n trials a block and s rows a sub-block:
+        Zeroing one of the last layer's 10 outputs gives each sample at most 10 distinct rows, so 30 trials
+        drawn 2 at a time repeat keys across sub-blocks; the tail still sees each distinct row once.
+        """
+        model, caches = toy[0], toy_caches[NO_SPILL_BUDGET]
+        cache = caches[11]
+        rows = []
+        real = executor_mod.tail_scores_batch
+
+        def keeping(model, layer, acts):
+            rows.extend(row.tobytes() for row in acts)
+            return real(model, layer, acts)
+
+        monkeypatch.setattr(executor_mod, "tail_scores_batch", keeping)
+        monkeypatch.setattr(executor_mod, "_TRIAL_STREAMS", 2 * executor_mod._BUILD_BATCH)
+        spec = FaultSpec(mode="layer", target=11, fault="zero", probability=1.0, seed=3)
+        runs = run_injected_layerwise(model, caches, spec, range(30))
+        records = np.concatenate([r for _, r, _ in runs])
+        changed = np.count_nonzero(records["original"] != records["corrupted"])
+        distinct = _distinct_keys(records)
+        assert distinct < changed // 2  # most changed rows repeat one that an earlier sub-block holds
+        assert len(rows) == len(set(rows)) == distinct
+        for trial, (preds, _, _) in enumerate(runs):
+            assert np.array_equal(preds, reference_layerwise.run_trial(model, cache, spec, trial)[0])
+
+    def test_trial_block_memory(self, toy, toy_caches, monkeypatch):
+        """A call holds one chunk, one draw sub-block's words and one window's changed records at a time.
+
+        Bound, with n samples, T trials, w rows a window, s = min(T, `_TRIAL_STREAMS` // w) · w streams a
+        draw sub-block and c = T · w changed records a window (every row changes at p = 1):
           - one chunk and the file reader's buffer;
-          - the block's b·n streams at 24 words each: their 4 words, the 4-word counters `draw_words`
+          - the sub-block's s streams at 24 words each: their 4 words, the 4-word counters `draw_words`
             builds, `philox_block`'s 4 column copies, its 4-word stacked result and at most 8
-            temporaries of a round (about 20 words a stream were measured);
-          - the sub-block's s hit copies plus 128 bytes an entry for `inject_batch`'s own arrays
-            (uniform, hit index, trial and row indices, element, material, the two patterns and a
-            40-byte record);
-          - what the caller keeps: every trial's predictions (8 bytes a sample), records (40 bytes)
-            and uniforms (8 bytes), plus 56 bytes a record of the last block once more while its
-            records are put in trial order (their int64 order and the unsorted copy);
+            temporaries of a round (about 20 words a stream were measured), plus 128 bytes a stream for
+            `inject_batch`'s own arrays (uniform, hit index, trial and row indices, element, material, the
+            two patterns and a 40-byte record);
+          - the window's c changed records, 177 bytes each: their copies and row indices (48 bytes), the
+            concatenation of those (48), the element index (8), the key (8), `np.unique`'s order, sorted
+            keys, flags, running count and inverse index (33), and the scatter's trial index, its int
+            copy, sample index and gathered predictions (32);
+          - at most `_BUILD_BATCH` distinct row copies, plus 32 bytes a row for the indices that write
+            their patterns;
+          - the records that are kept: every trial's predictions (8 bytes a sample), records (40 bytes)
+            and uniforms (8 bytes), and 56 bytes a record once more while all of the call's records are put
+            in trial order (their int64 order and the reordered copies);
           - 64 bytes a sample for the small arrays, as in the one-trial test above.
-        The tail's own scratch is not the loop's: it is stubbed to return zero scores here.  Drawing
-        all 40 trials' words at once, or reading the whole store at once, exceeds the bound.
+        The tail's own scratch is not the loop's: it is stubbed to return zero scores here.  T = 120 takes
+        two draw sub-blocks a window.  Drawing all trials' words at once exceeds the bound.
         """
         model, caches = toy[0], toy_caches[SPILL_BUDGET]
         cache = caches[8]
@@ -817,7 +873,7 @@ class TestTrialBatching:
         monkeypatch.setattr(executor_mod, "tail_scores_batch",
                             lambda model, layer, rows: np.zeros((rows.shape[0], classes), dtype=F))
         spec = FaultSpec(mode="layer", target=8, fault="bit_flip_specific", probability=1.0, seed=6, bit=30)
-        trials = range(7, 47)
+        trials = range(7, 127)
         run_injected_layerwise(model, caches, spec, [1])  # numpy's lazy imports are not the trials'
         tracemalloc.start()
         try:
@@ -825,11 +881,105 @@ class TestTrialBatching:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        block = executor_mod._TRIAL_STREAMS // n
-        sub_rows = min(block, executor_mod._BUILD_BATCH // cache.samples_per_chunk) * cache.samples_per_chunk
+        w = min(executor_mod._BUILD_BATCH, cache.samples_per_chunk)
+        step = executor_mod._TRIAL_STREAMS // w
+        assert step < len(trials)
+        s, c = min(len(trials), step) * w, len(trials) * w
         kept = sum(p.nbytes + r.nbytes + u.nbytes for p, r, u in runs)
-        last_block = sum(r.size for _, r, _ in runs[-(len(trials) % block or block):])
-        bound = (cache.chunk_bytes(0) + io.DEFAULT_BUFFER_SIZE + 24 * 8 * block * n
-                 + sub_rows * (cache.bytes_per_sample + 128) + kept + 56 * last_block + 64 * n)
+        records = sum(r.size for _, r, _ in runs)
+        bound = (cache.chunk_bytes(0) + io.DEFAULT_BUFFER_SIZE + s * (24 * 8 + 128) + c * 177
+                 + min(c, executor_mod._BUILD_BATCH) * (cache.bytes_per_sample + 32) + kept + 56 * records + 64 * n)
         assert len(trials) * n * 32 * 5 > bound  # every trial's words and Philox temporaries at once
         assert peak <= bound, f"peak {peak} bytes, bound {bound} bytes"
+
+
+import tempfile
+
+from strategies import random_models
+from bitstorm.executor import _window_keys
+
+
+@st.composite
+def _small_targets(draw):
+    """(model, samples, target): a random model, its inputs, and a layer whose output has 1 to 8 elements."""
+    model, xs = draw(random_models(max_samples=12))
+    small = [k for k, shape in enumerate(model.output_shapes) if math.prod(shape) <= 8]  # the last layer is
+    return model, xs, draw(st.sampled_from(small))
+
+
+_TOY_MODEL, _TOY_DATASET = build_toy_cnn()
+
+
+class TestDistinctRows:
+    """A window replays each distinct (row, element, corrupted pattern) once, across every trial of the call."""
+
+    @given(case=_small_targets(), fault=st.sampled_from(["zero", "bit_flip_specific"]), bit=st.integers(0, 31),
+           probability=st.sampled_from([0.4, 1.0]), seed=st.integers(0, 2**64 - 1), first=st.integers(0, 10**6),
+           count=st.integers(20, 40), spill=st.booleans(), streams=st.sampled_from([1, 16, 2048]),
+           window=st.sampled_from([None, 3]))
+    @settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @example(case=(_TOY_MODEL, _TOY_DATASET.samples, 11), fault="zero", bit=0, probability=1.0, seed=101, first=0,
+             count=20, spill=False, streams=2048, window=None)
+    def test_equals_per_trial_oracle_and_replays_each_key_once(self, case, fault, bit, probability, seed, first,
+                                                               count, spill, streams, window):
+        """Byte for byte the per-trial oracle, while the tail takes exactly the distinct changed keys.
+
+        With 1 to 8 elements and 20-40 trials, keys repeat within a draw sub-block and across them
+        (`streams` sets `_TRIAL_STREAMS`, `window` `_BUILD_BATCH`).  Past Flatten every distinct key reaches
+        the tail; on a map its cone may end before, so the tail takes at most that many and `_start_cone`
+        exactly that many.
+        """
+        model, xs, target = case
+        dataset = Dataset(samples=xs, labels=np.zeros(xs.shape[0], dtype=np.uint32), class_count=model.class_count)
+        per_sample = math.prod(model.output_shapes[target]) * 4
+        budget = per_sample * (2 if spill else xs.shape[0])
+        spec = FaultSpec(mode="layer", target=target, fault=fault, probability=probability, seed=seed,
+                         bit=bit if fault == "bit_flip_specific" else None)
+        started, tailed = [], []
+        real_start, real_tail = executor_mod._start_cone, executor_mod.tail_scores_batch
+
+        def starting(model, target, rows, elements):
+            started.append(rows.shape[0])
+            return real_start(model, target, rows, elements)
+
+        def tailing(model, layer, acts):
+            tailed.append(acts.shape[0])
+            return real_tail(model, layer, acts)
+
+        trials = range(first, first + count)
+        with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as patch:
+            caches = layer_caches(model, dataset, [target], budget, root, extra=replay_layers(model, [target]))
+            patch.setattr(executor_mod, "_start_cone", starting)
+            patch.setattr(executor_mod, "tail_scores_batch", tailing)
+            patch.setattr(executor_mod, "_TRIAL_STREAMS", streams)
+            if window is not None:
+                patch.setattr(executor_mod, "_BUILD_BATCH", window)
+            runs = run_injected_layerwise(model, caches, spec, trials)
+            patch.undo()
+            for trial, run in zip(trials, runs, strict=True):
+                for got, want, what in zip(run, reference_layerwise.run_trial(model, caches[target], spec, trial),
+                                           ("preds", "records", "u")):
+                    assert (got.dtype, got.shape) == (want.dtype, want.shape), (trial, what)
+                    assert got.tobytes() == want.tobytes(), (trial, what)
+        distinct = _distinct_keys(np.concatenate([r for _, r, _ in runs]))
+        assert sum(started) == distinct
+        if len(model.output_shapes[target]) == 3:
+            assert sum(tailed) <= distinct
+        else:
+            assert sum(tailed) == distinct
+        assert max(started, default=0) <= (window or executor_mod._BUILD_BATCH)
+
+    def test_window_keys_do_not_collide(self):
+        """Keys differ when only a large element index or only the corrupted pattern's top bit differs."""
+        rows = np.array([3, 3], dtype=np.intp)
+        top = np.array([0x80000000, 0], dtype=np.uint32)
+        for n_rows, n_elements in [(4, 1000), (256, 2**40), (2**20, 2**44)]:
+            elements = np.full(2, n_elements - 1, dtype=np.intp)
+            keys = _window_keys(rows, elements, top, n_rows, n_elements)
+            assert keys[0] != keys[1], (n_rows, n_elements)
+            assert _window_keys(rows, elements, top[::-1], n_rows, n_elements)[0] == keys[1]
+        # element e of one row never meets element e - n_elements of the next, nor one 2**32 away
+        for n_elements in (1000, 2**33 + 5):
+            big = np.array([2**32 + 7, 7, 7], dtype=np.intp) % n_elements
+            keys = _window_keys(np.array([1, 1, 2], dtype=np.intp), big, np.zeros(3, dtype=np.uint32), 3, n_elements)
+            assert np.unique(keys).size == len({(r, e) for r, e in zip([1, 1, 2], big.tolist())})

@@ -247,8 +247,9 @@ class TestInjectBatch:
         want = [ref.inject(acts[s], fault, bit, 0.7, 31, 3, s, 4) for s in range(33)]
         hits = [w for w in want if w[2] is not None]
         assert 0 < len(hits) < 33
-        assert rows.shape == (len(hits), 5, 2) and batch_recs.shape == (len(hits),)
-        assert_bits_equal(rows, np.stack([out for _, out, _ in hits]))
+        assert rows.shape == batch_recs.shape == (len(hits),)
+        assert rows.tolist() == [s for s in range(33) if want[s][2] is not None]
+        assert_bits_equal(ref.corrupted_rows(acts, rows, batch_recs), np.stack([out for _, out, _ in hits]))
         assert u.tolist() == [w_u for w_u, _, _ in hits]
         assert [tuple(int(r[name]) for name in RECORD_DTYPE.names) for r in batch_recs] == [rec for _, _, rec in hits]
         for s in range(33):
@@ -273,6 +274,18 @@ class TestInjectBatch:
         acts.flags.writeable = False  # cache chunks are read-only buffers
         inject_batch(acts, spec, draw_words(12, 0, np.arange(8), 0), trial=0, sample_ids=np.arange(8), site=0)
         assert_bits_equal(acts, before)
+
+    def test_strided_input_gives_the_records_of_its_copy(self):
+        """Patterns are read through an index per axis, so a view of any strides is read as it is."""
+        spec = FaultSpec(mode="layer", target=0, fault="bit_flip_random", probability=0.8, seed=21)
+        view = np.random.default_rng(4).normal(size=(6, 7, 5)).astype(F).transpose(0, 2, 1)[:, ::2]
+        assert not view.flags.c_contiguous
+        words = draw_words(21, 2, np.arange(6), 0)
+        got = inject_batch(view, spec, words, 2, np.arange(6), 0)
+        want = inject_batch(np.ascontiguousarray(view), spec, words, 2, np.arange(6), 0)
+        assert got[1].size > 0
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_csv_rows(self):
         spec = FaultSpec(mode="layer", target=0, fault="bit_flip_specific", probability=1.0, seed=13, bit=31)
@@ -389,8 +402,10 @@ class TestAgainstReference:
 
         rows, records, u = inject_batch(acts, spec, draw_words(seed, trial, ids, site), trial, ids, site)
         hits = [w for w in want if w[2] is not None]
-        assert rows.shape == (len(hits), *shape) and records.shape == u.shape == (len(hits),)
-        for row, record, u_i, (want_u, want_out, want_rec) in zip(rows, records, u, hits):
+        assert rows.shape == records.shape == u.shape == (len(hits),)
+        assert rows.tolist() == [i for i, w in enumerate(want) if w[2] is not None]
+        for row, record, u_i, (want_u, want_out, want_rec) in zip(ref.corrupted_rows(acts, rows, records), records,
+                                                                   u, hits):
             assert_bits_equal(row, want_out)
             assert tuple(int(record[name]) for name in RECORD_DTYPE.names) == want_rec
             assert float(u_i) == want_u
@@ -427,7 +442,7 @@ class TestAgainstReference:
         for k, t in enumerate(trials):
             assert np.array_equal(words[k], draw_words(seed, t, ids, site))
         rows, records, u = inject_batch(acts, spec, words, trials, ids, site)
-        assert_bits_equal(rows, np.concatenate([r for r, _, _ in per_trial]).reshape(rows.shape))
+        assert rows.tobytes() == np.concatenate([r for r, _, _ in per_trial]).tobytes()
         assert records.tobytes() == np.concatenate([r for _, r, _ in per_trial]).tobytes()
         assert u.tobytes() == np.concatenate([x for _, _, x in per_trial]).tobytes()
         with pytest.raises(ValidationError, match="trial"):
