@@ -21,7 +21,12 @@ the rows whose activation a fault actually changed are replayed; every
 other row keeps its golden prediction.  A changed row is keyed by (window
 row, element, corrupted pattern), and each distinct key of the window is
 copied and replayed once, at most `_BUILD_BATCH` rows at a time, whichever
-trials hit it; every trial that holds the key takes its prediction.
+trials hit it; every trial that holds the key takes its prediction.  Each
+trial's records are written in place, in sample order, into its row of one
+buffer for the call, which starts as wide as the trial's hits can be
+expected to reach (`_trial_capacity`) and is widened if one exceeds it.
+The buffer is a memory map of its own, so its pages go back to the system
+once the campaign lets go of the trials' records.
 
 A replayed row differs from the golden one in a single element, which
 reaches only a cone of each later map.  Through the spatial layers after
@@ -63,6 +68,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import mmap
 import shutil
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,7 +79,7 @@ from . import engine
 from .engine import Conv2D, MaxPool2D, Model, PReLU, conv_padding, forward_layer_batch, predict_batch, tail_scores_batch
 from .engine import head_batch  # noqa: F401  kept in this namespace: perfbench/test_selfcheck.py traces it here
 from .errors import ResourceError, ValidationError
-from .faults import FaultSpec, concat_records, draw_words, inject_batch, uniforms
+from .faults import RECORD_DTYPE, FaultSpec, concat_records, draw_words, inject_batch, uniforms
 from .microops import MicroOpModel, run_microops_batch
 from .model_io import Dataset, replacing
 
@@ -384,7 +390,9 @@ def run_injected_layerwise(model: Model, caches: dict, spec: FaultSpec, trials):
 
     Per trial, u[i] is the Bernoulli uniform of records[i], and records are
     in sample order; `at_probability` derives from them the trial at any
-    lower probability.
+    lower probability.  Each trial's records and uniforms are written in
+    place into its row of one buffer for the call, so no record is ever
+    copied to be put in trial order; a trial's arrays are views of its row.
     """
     if spec.mode != "layer":
         raise ValidationError("run_injected_layerwise requires an operation mode of 'layer'")
@@ -400,7 +408,11 @@ def run_injected_layerwise(model: Model, caches: dict, spec: FaultSpec, trials):
     cache = caches[spec.target]
     sample_ids = np.arange(cache.sample_count, dtype=np.uint64)
     preds = np.tile(cache.golden, (len(trials), 1))
-    parts, us = [], [np.empty(0)]
+    # row i holds the records and uniforms of trials[i], in sample order, in its first filled[i] places
+    raw = np.dtype((np.void, RECORD_DTYPE.itemsize))  # a structured copy goes field by field
+    kept = _mapped((len(trials), _trial_capacity(cache.sample_count, spec.probability)), raw)
+    kept_u = _mapped(kept.shape, np.float64)
+    filled = np.zeros(len(trials), dtype=np.intp)
     for start, acts in cache.iter_chunks():
         # a chunk whose words for the whole range fit one draw is drawn once, for all its windows
         chunk_words = (draw_words(spec.seed, trials, sample_ids[start : start + acts.shape[0]], cache.layer)
@@ -410,32 +422,69 @@ def run_injected_layerwise(model: Model, caches: dict, spec: FaultSpec, trials):
             rows_of = slice(start + lo, start + lo + window.shape[0])
             ids = sample_ids[rows_of]
             step = max(1, _TRIAL_STREAMS // window.shape[0])
-            rows, changed = [], []  # per sub-block: the rows a fault changed and the records that changed them
+            hits = []  # per sub-block: (row, trial index, element, pattern) of each record that changed its row
             for j in range(0, len(trials), step):
                 block = trials[j : j + step]
                 words = (draw_words(spec.seed, block, ids, cache.layer) if chunk_words is None
                          else chunk_words[:, lo : lo + window.shape[0]])
                 at, records, u = inject_batch(window, spec, words, block, ids, cache.layer)
                 del words
-                parts.append(records)
-                us.append(u)
-                keep = records["original"] != records["corrupted"]
-                rows.append(at[keep])
-                changed.append(records[keep])
-            rows, changed = np.concatenate(rows), concat_records(changed)
+                which = (records["trial"] - np.uint64(trials[0])).astype(np.intp)  # row of each record's trial
+                counts = np.bincount(which - j, minlength=len(block))
+                place = filled[which] + np.arange(records.size) - np.repeat(np.cumsum(counts) - counts, counts)
+                need = int(place.max()) + 1 if records.size else 0
+                if need > kept.shape[1]:
+                    width = min(cache.sample_count, max(need, 2 * kept.shape[1]))
+                    kept, kept_u = _widened(kept, width), _widened(kept_u, width)
+                kept[which, place] = records.view(raw)
+                kept_u[which, place] = u
+                filled[j : j + len(block)] += counts
+                keep = np.flatnonzero(records["original"] != records["corrupted"])
+                hits.append((at[keep], which[keep], records["element"][keep].astype(np.intp),
+                             records["corrupted"][keep]))
+                del at, records, u, which, place
+            rows, trial, elements, corrupted = (np.concatenate(column) for column in zip(*hits))
+            del hits
             if rows.size:
                 golden = _window_golden(caches, cache.layer, window, rows_of)
-                pred = _replay_distinct(model, cache.layer, window, rows, changed, golden,
+                pred = _replay_distinct(model, cache.layer, window, rows, elements, corrupted, golden,
                                         cache.golden[rows_of])
-                preds[(changed["trial"] - np.uint64(trials[0])).astype(np.intp), rows + rows_of.start] = pred
+                preds[trial, rows + rows_of.start] = pred
                 del golden  # the window's golden rows of the cone layers
         del acts, window, chunk_words  # none outlives the next read
-    records, u = concat_records(parts), np.concatenate(us)
-    del parts, us
-    order = np.argsort(records["trial"], kind="stable")  # each trial's records are in sample order already
-    records, u = records[order], u[order]
-    cuts = np.searchsorted(records["trial"], np.array(trials[1:], dtype=np.uint64))
-    return list(zip(preds, np.split(records, cuts), np.split(u, cuts)))
+    records = kept.view(RECORD_DTYPE)
+    return [(preds[i], records[i, : filled[i]], kept_u[i, : filled[i]]) for i in range(len(trials))]
+
+
+def _trial_capacity(samples: int, probability: float) -> int:
+    """Records a trial's row holds at first: all `samples` at p = 1, else its expected hits and a margin.
+
+    A trial hits each sample with probability p, independently, so its
+    count is binomial; the margin of 8 standard deviations and 16 records
+    is rarely crossed, and a crossing only widens the buffer.
+    """
+    mean, var = samples * probability, samples * probability * (1 - probability)
+    return min(samples, math.ceil(mean + 8 * math.sqrt(var)) + 16)
+
+
+def _widened(a: np.ndarray, width: int) -> np.ndarray:
+    """A copy of the 2-D `a` with `width` columns, in a map of its own; the columns past a's are zero."""
+    out = _mapped((a.shape[0], width), a.dtype)
+    out[:, : a.shape[1]] = a
+    return out
+
+
+def _mapped(shape: tuple, dtype) -> np.ndarray:
+    """A zeroed array in an anonymous private memory map of its own.
+
+    A page of it becomes resident only once written, and every page goes
+    back to the system as soon as the array and all its views are gone;
+    malloc may serve an array of this size from its heap, which need not
+    give pages back once they are freed.
+    """
+    count = math.prod(shape)
+    buffer = mmap.mmap(-1, max(1, count * np.dtype(dtype).itemsize), flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buffer, dtype=dtype, count=count).reshape(shape)
 
 
 def _window_keys(rows: np.ndarray, elements: np.ndarray, corrupted: np.ndarray, n_rows: int, n_elements: int):
@@ -454,25 +503,24 @@ def _window_keys(rows: np.ndarray, elements: np.ndarray, corrupted: np.ndarray, 
     return keys.view(np.dtype((np.void, keys.dtype.itemsize)))
 
 
-def _replay_distinct(model: Model, target: int, window: np.ndarray, rows: np.ndarray, records: np.ndarray,
-                     golden, golden_preds: np.ndarray) -> np.ndarray:
+def _replay_distinct(model: Model, target: int, window: np.ndarray, rows: np.ndarray, elements: np.ndarray,
+                     corrupted: np.ndarray, golden, golden_preds: np.ndarray) -> np.ndarray:
     """The prediction of each changed record, from one replay of each distinct corrupted row.
 
-    records[i] changed window row rows[i]; golden(k) gives the window's
+    The i-th changed record wrote pattern corrupted[i] at flat element
+    elements[i] (intp) of window row rows[i]; golden(k) gives the window's
     stored outputs of layer k and golden_preds its golden predictions.
     Rows are copied only for the distinct keys, at most `_BUILD_BATCH` at
     a time, and each copy lives only until its cone is cut.
     """
-    elements = records["element"].astype(np.intp)
-    keys = _window_keys(rows, elements, records["corrupted"], window.shape[0], window[0].size)
+    keys = _window_keys(rows, elements, corrupted, window.shape[0], window[0].size)
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     del keys
     pred = golden_preds[rows[first]]  # a row whose cone vanishes keeps its golden prediction
     for lo in range(0, first.size, _BUILD_BATCH):
         pick = first[lo : lo + _BUILD_BATCH]
         copies = window[rows[pick]]
-        copies.reshape(pick.size, -1).view(np.uint32)[np.arange(pick.size), elements[pick]] = \
-            records["corrupted"][pick]
+        copies.reshape(pick.size, -1).view(np.uint32)[np.arange(pick.size), elements[pick]] = corrupted[pick]
         cones = _start_cone(model, target, copies, elements[pick])
         del copies
         live, scores = _replay_rows(model, target, *cones, rows[pick], golden)

@@ -326,7 +326,7 @@ class TestPassThroughEquivalence:
 # One-pass cache building, content keys, crash safety, row skipping
 # ---------------------------------------------------------------------------
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import reference_faults
@@ -711,18 +711,20 @@ class TestTrialBatching:
 
     @given(which=st.sampled_from(["toy", "prelu", "relu"]), spill=st.booleans(), layer=st.integers(0, 11),
            fault=st.sampled_from(FAULT_KINDS), bit=st.integers(0, 31), probability=st.sampled_from([0.0, 0.3, 1.0]),
-           seed=st.integers(0, 2**64 - 1), first=st.integers(1, 10**6), block=st.sampled_from([1, 2, 3]),
-           extra=st.integers(1, 3), window=st.sampled_from([None, 24, 7]))
+           seed=st.integers(0, 2**64 - 1), first=st.integers(1, 10**6), block=st.sampled_from([None, 1, 2, 3]),
+           extra=st.integers(1, 3), window=st.sampled_from([None, 24, 7]), narrow=st.booleans())
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @example(which="toy", spill=False, layer=8, fault="bit_flip_specific", bit=30, probability=1.0, seed=101,
-             first=3, block=None, extra=1, window=None)
+             first=3, block=None, extra=1, window=None, narrow=False)
     def test_equals_per_trial_oracle(self, toy, toy_caches, prelu_caches, relu_caches, which, spill, layer, fault,
-                                     bit, probability, seed, first, block, extra, window):
+                                     bit, probability, seed, first, block, extra, window, narrow):
         """Ranges start above 0 and cross a draw sub-block boundary; windows are cut from chunks of more rows.
 
         `block` sets the trials of a full window's draw sub-block (None: `_TRIAL_STREAMS` as it is, 8 trials
         on a 256-row window) and `window` the window rows (None: `_BUILD_BATCH`, which cuts the toy's whole
-        320-row chunk in two).  The range holds one sub-block and 1-3 trials more.
+        320-row chunk in two).  The range holds one sub-block and 1-3 trials more.  None is kept wherever
+        that sub-block holds at most 100 trials, that is on windows of 21 rows or more.  `narrow` starts
+        each trial's row of the record buffer one record wide, so it is widened as the records come.
         """
         if which == "toy":
             model, caches = toy[0], toy_caches[SPILL_BUDGET if spill else NO_SPILL_BUDGET]
@@ -739,10 +741,13 @@ class TestTrialBatching:
         with pytest.MonkeyPatch.context() as patch:
             if window is not None:
                 patch.setattr(executor_mod, "_BUILD_BATCH", window)
+            if narrow:
+                patch.setattr(executor_mod, "_trial_capacity", lambda samples, probability: 1)
             rows = min(executor_mod._BUILD_BATCH, cache.samples_per_chunk)  # of every window but a chunk's last
             if block is not None:
                 patch.setattr(executor_mod, "_TRIAL_STREAMS", block * rows)
             block = max(1, executor_mod._TRIAL_STREAMS // rows)
+            assume(block <= 100)  # the real constant draws hundreds of trials at once on a window of a few rows
             trials = range(first, first + block + extra)
             runs = run_injected_layerwise(model, caches, spec, trials)
         assert len(runs) == len(trials)
@@ -751,6 +756,13 @@ class TestTrialBatching:
                                        ("preds", "records", "u")):
                 assert (got.dtype, got.shape) == (want.dtype, want.shape), (trial, what)
                 assert got.tobytes() == want.tobytes(), (trial, what)
+
+    def test_trial_capacity(self):
+        """A row starts as wide as the samples at p = 1, and at the expected hits plus the margin below it."""
+        assert executor_mod._trial_capacity(320, 1.0) == 320
+        assert executor_mod._trial_capacity(320, 0.0) == 16
+        assert executor_mod._trial_capacity(320, 0.5) == math.ceil(160 + 8 * math.sqrt(80)) + 16
+        assert executor_mod._trial_capacity(5, 0.5) == 5
 
     def test_rejects_a_range_with_gaps(self, toy_caches, toy):
         spec = FaultSpec(mode="layer", target=8, fault="zero", probability=1.0, seed=1)
@@ -842,8 +854,9 @@ class TestTrialBatching:
         for trial, (preds, _, _) in enumerate(runs):
             assert np.array_equal(preds, reference_layerwise.run_trial(model, cache, spec, trial)[0])
 
-    def test_trial_block_memory(self, toy, toy_caches, monkeypatch):
-        """A call holds one chunk, one draw sub-block's words and one window's changed records at a time.
+    @staticmethod
+    def _peak_and_bound(model, caches, target: int, trials, monkeypatch):
+        """(peak, bound, kept, records) of one p = 1 call on `target`; its replays are stubbed.
 
         Bound, with n samples, T trials, w rows a window, s = min(T, `_TRIAL_STREAMS` // w) · w streams a
         draw sub-block and c = T · w changed records a window (every row changes at p = 1):
@@ -852,28 +865,28 @@ class TestTrialBatching:
             builds, `philox_block`'s 4 column copies, its 4-word stacked result and at most 8
             temporaries of a round (about 20 words a stream were measured), plus 128 bytes a stream for
             `inject_batch`'s own arrays (uniform, hit index, trial and row indices, element, material, the
-            two patterns and a 40-byte record);
-          - the window's c changed records, 177 bytes each: their copies and row indices (48 bytes), the
-            concatenation of those (48), the element index (8), the key (8), `np.unique`'s order, sorted
-            keys, flags, running count and inverse index (33), and the scatter's trial index, its int
-            copy, sample index and gathered predictions (32);
+            two patterns and a 44-byte record), and 48 bytes a stream for the trial row and place of each
+            record and the three temporaries that make the place;
+          - the window's c changed records, 137 bytes each: their row, trial index and element (8 bytes
+            each) and pattern (4) kept per sub-block, and the concatenation of those (56 in all); the key
+            and the three temporaries that make it (32); `np.unique`'s order, sorted keys, flags, running
+            count and inverse index (33); and the scatter's sample index and gathered predictions (16);
           - at most `_BUILD_BATCH` distinct row copies, plus 32 bytes a row for the indices that write
             their patterns;
-          - the records that are kept: every trial's predictions (8 bytes a sample), records (40 bytes)
-            and uniforms (8 bytes), and 56 bytes a record once more while all of the call's records are put
-            in trial order (their int64 order and the reordered copies);
+          - the records that are kept: every trial's predictions (8 bytes a sample), records (44 bytes)
+            and uniforms (8 bytes), written in place into the call's buffer, which at p = 1 is exactly
+            as wide as the samples;
           - 64 bytes a sample for the small arrays, as in the one-trial test above.
-        The tail's own scratch is not the loop's: it is stubbed to return zero scores here.  T = 120 takes
-        two draw sub-blocks a window.  Drawing all trials' words at once exceeds the bound.
+        Replays' own scratch (cones and tail) is not the loop's: `_replay_rows` returns zero scores here.
+        The buffer is allocated by numpy here, not in a memory map, so that tracemalloc sees it.
         """
-        model, caches = toy[0], toy_caches[SPILL_BUDGET]
-        cache = caches[8]
+        cache = caches[target]
         n = cache.sample_count
         classes = model.output_shapes[-1][0]
-        monkeypatch.setattr(executor_mod, "tail_scores_batch",
-                            lambda model, layer, rows: np.zeros((rows.shape[0], classes), dtype=F))
-        spec = FaultSpec(mode="layer", target=8, fault="bit_flip_specific", probability=1.0, seed=6, bit=30)
-        trials = range(7, 127)
+        monkeypatch.setattr(executor_mod, "_replay_rows", lambda model, target, top, left, cone, samples, golden:
+                            (np.arange(cone.shape[0]), np.zeros((cone.shape[0], classes), dtype=F)))
+        monkeypatch.setattr(executor_mod, "_mapped", np.zeros)
+        spec = FaultSpec(mode="layer", target=target, fault="bit_flip_specific", probability=1.0, seed=6, bit=30)
         run_injected_layerwise(model, caches, spec, [1])  # numpy's lazy imports are not the trials'
         tracemalloc.start()
         try:
@@ -881,15 +894,44 @@ class TestTrialBatching:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        w = min(executor_mod._BUILD_BATCH, cache.samples_per_chunk)
-        step = executor_mod._TRIAL_STREAMS // w
-        assert step < len(trials)
-        s, c = min(len(trials), step) * w, len(trials) * w
+        t, w = len(trials), min(executor_mod._BUILD_BATCH, cache.samples_per_chunk)
+        s, c = min(t, max(1, executor_mod._TRIAL_STREAMS // w)) * w, t * w
         kept = sum(p.nbytes + r.nbytes + u.nbytes for p, r, u in runs)
         records = sum(r.size for _, r, _ in runs)
-        bound = (cache.chunk_bytes(0) + io.DEFAULT_BUFFER_SIZE + s * (24 * 8 + 128) + c * 177
-                 + min(c, executor_mod._BUILD_BATCH) * (cache.bytes_per_sample + 32) + kept + 56 * records + 64 * n)
-        assert len(trials) * n * 32 * 5 > bound  # every trial's words and Philox temporaries at once
+        assert records == t * n
+        bound = (cache.chunk_bytes(0) + io.DEFAULT_BUFFER_SIZE + s * (24 * 8 + 128 + 48) + c * 137
+                 + min(c, executor_mod._BUILD_BATCH) * (cache.bytes_per_sample + 32) + kept + 64 * n)
+        return peak, bound, kept, records
+
+    def test_trial_block_memory(self, toy, toy_caches, monkeypatch):
+        """A call holds one chunk, one draw sub-block's words and one window's changed records at a time.
+
+        Target 8 at the spilling budget has 16 windows of 21 rows (the last of 5), and 120 trials take two
+        draw sub-blocks a window.  Drawing all trials' words at once exceeds the bound, and so does
+        holding all the call's records until its end to put them in trial order there.
+        """
+        model, caches = toy[0], toy_caches[SPILL_BUDGET]
+        trials = range(7, 127)
+        assert executor_mod._TRIAL_STREAMS // caches[8].samples_per_chunk < len(trials)
+        peak, bound, kept, records = self._peak_and_bound(model, caches, 8, trials, monkeypatch)
+        assert len(trials) * caches[8].sample_count * 32 * 5 > bound  # every trial's words and Philox temporaries
+        assert kept + 56 * records > bound  # every record reordered at the call's end
+        assert peak <= bound, f"peak {peak} bytes, bound {bound} bytes"
+
+    def test_one_row_windows_memory(self, toy, toy_caches, monkeypatch):
+        """Windows of one row keep nothing of their own past the window: their records go in place.
+
+        Target 1 at the spilling budget stores one sample a chunk, so each of its 320 windows holds one
+        row of each of 40 trials.  Keeping a piece of records and one of uniforms per (trial, window),
+        at about 128 bytes of array header each, would exceed the bound; so would reordering every
+        record at the end.
+        """
+        model, caches = toy[0], toy_caches[SPILL_BUDGET]
+        assert caches[1].samples_per_chunk == 1
+        trials = range(7, 47)
+        peak, bound, kept, records = self._peak_and_bound(model, caches, 1, trials, monkeypatch)
+        assert kept + 256 * len(trials) * caches[1].chunk_count > bound
+        assert kept + 56 * records > bound
         assert peak <= bound, f"peak {peak} bytes, bound {bound} bytes"
 
 
