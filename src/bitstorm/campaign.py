@@ -13,14 +13,16 @@ probability (`executor.at_probability`).  A worker runs a contiguous range
 of a target's trials in one `executor.run_injected_layerwise` call, which
 reads each chunk of the target's store once for the whole range rather
 than once per trial, and replays each distinct corrupted row once,
-whichever of the range's trials hit it.  A target's cells are appended
-together once all its trials are done.
+whichever of the range's trials hit it.
 
-Operation-wise, each trial replays only the samples its faults hit, from
-the golden input of their first hit layer, in chunks within the budget;
-the words of each (trial, site) are drawn once.  Both modes read their
+Operation-wise, a worker runs a contiguous range of an op kind's trials at
+every probability of the sweep in one `executor.run_injected_opwise` call,
+which draws each site's words once per block of trials and replays each
+distinct (trial, sample, hit-site set) once, whichever probabilities share
+it, from the golden input of its first hit layer.  Both modes read their
 golden predictions and layer inputs from one store (`executor.layer_caches`)
-and never run a separate golden pass.
+and never run a separate golden pass.  In both modes a target's cells, one
+per probability, are appended together once all its trials are done.
 
 Trials are independent.  Each worker takes one contiguous range of them,
 and the results are concatenated in trial order, so reports are
@@ -271,33 +273,28 @@ def _run_cells(spec: CampaignSpec, model: Model, dataset: Dataset, workers: int,
     cells: list[CellResult] = []
     result = CampaignResult(spec=spec, reference_accuracy=reference_accuracy, golden=golden, cells=cells)
     try:
-        if spec.mode == "layer":
-            for layer in targets:
-                fault = FaultSpec(mode="layer", target=layer, fault=spec.fault,
-                                  probability=max(spec.probabilities), seed=spec.seed, bit=spec.bit)
+        for target in targets:
+            fault = FaultSpec(mode=spec.mode, target=target if spec.mode == "layer" else (target,), fault=spec.fault,
+                              probability=max(spec.probabilities), seed=spec.seed, bit=spec.bit)
+            if spec.mode == "layer":
+                label, kind, shape = str(target), model.layers[target].kind, model.output_shapes[target]
 
                 def run_range(trials, fault=fault):
-                    outcomes = []
-                    for run in run_injected_layerwise(model, caches, fault, trials):
-                        derived = (at_probability(golden, *run, p) for p in spec.probabilities)
-                        outcomes.append([(accuracy(preds, reference), records) for preds, records in derived])
-                    return outcomes
+                    return [[(accuracy(preds, reference), records)
+                             for preds, records in (at_probability(golden, *run, p) for p in spec.probabilities)]
+                            for run in run_injected_layerwise(model, caches, fault, trials)]
+            else:
+                label, kind, shape = target, "", ()
 
-                by_trial = _run_trials(spec.trials, workers, run_range)
-                for p, outcomes in zip(spec.probabilities, zip(*by_trial)):
-                    cells.append(_make_cell(str(layer), model.layers[layer].kind, model.output_shapes[layer],
-                                            p, outcomes, spec))
-        else:
-            for kind in targets:
-                for p in spec.probabilities:
-                    fault = FaultSpec(mode="op", target=(kind,), fault=spec.fault,
-                                      probability=p, seed=spec.seed, bit=spec.bit)
+                def run_range(trials, fault=fault):
+                    return [[(accuracy(preds, reference), records) for preds, records in runs]
+                            for runs in run_injected_opwise(expanded, dataset, caches, fault, trials,
+                                                            spec.probabilities)]
 
-                    def run_range(trials, fault=fault):
-                        runs = (run_injected_opwise(expanded, dataset, caches, fault, trial) for trial in trials)
-                        return [(accuracy(preds, reference), records) for preds, records in runs]
-
-                    cells.append(_make_cell(kind, "", (), p, _run_trials(spec.trials, workers, run_range), spec))
+            by_trial = _run_trials(spec.trials, workers, run_range)
+            cells.extend(_make_cell(label, kind, shape, p, outcomes, spec)
+                         for p, outcomes in zip(spec.probabilities, zip(*by_trial)))
+            del by_trial  # the cells hold copies of its records; its buffers go before the next target runs
     except BaseException:
         if spec.out_dir is not None and cells:
             result.partial = True

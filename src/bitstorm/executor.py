@@ -55,11 +55,24 @@ derives every other probability from that one replay, bit for bit.
 Operation-wise campaigns apply the fault model to the output of every
 executed micro-op whose kind is targeted, so several faults may land during
 a single inference.  They read the same store, at the output of the layer
-before each layer that holds a site.  A trial draws the words of each
-(trial, site) once, for all samples, which tells it before any pass which
-samples a fault hits and in which layer first.  A sample no fault hits keeps
-its golden prediction; every other one replays the micro-ops from the
-golden input of its first hit layer, in chunks within the memory budget.
+before each layer that holds a site.  One call takes a contiguous range of
+trials of one target and every probability of its sweep, and runs it in
+blocks of as many trials as the budget holds the words and keys of.  A
+block draws
+each site's words once, for all its trials and samples; they do not depend
+on the probability, and they tell before any pass which sites hit each
+(trial, sample) at each probability.  A higher probability only adds hit
+sites, so (trial, sample, number of hit sites) is a collision-free key of
+the set.  A sample no fault hits keeps its golden prediction; each
+distinct key is replayed once, whichever probabilities share it, from the
+golden input of its first hit layer: each store chunk is read once per
+block and its keys' rows go through the micro-ops in batches within the
+memory budget.  Each key's records are written in place into one buffer
+for the block, and every (trial, probability) takes the prediction and the
+records of the key it holds for each sample.  Two NaNs that meet keep
+either payload by their place in the batch, so a site's output holds the
+canonical NaN `CANONICAL_NAN` wherever it is NaN before its fault is
+applied; records and predictions then do not depend on the batches.
 """
 
 from __future__ import annotations
@@ -79,7 +92,7 @@ from . import engine
 from .engine import Conv2D, MaxPool2D, Model, PReLU, conv_padding, forward_layer_batch, predict_batch, tail_scores_batch
 from .engine import head_batch  # noqa: F401  kept in this namespace: perfbench/test_selfcheck.py traces it here
 from .errors import ResourceError, ValidationError
-from .faults import RECORD_DTYPE, FaultSpec, concat_records, draw_words, inject_batch, uniforms
+from .faults import RECORD_DTYPE, FaultSpec, check_probability, draw_words, inject_batch, uniforms
 from .microops import MicroOpModel, run_microops_batch
 from .model_io import Dataset, replacing
 
@@ -93,6 +106,10 @@ CACHE_FORMAT_VERSION = 4
 #: samples, and a layer-wise replay's window rows and tail rows.  Keeps
 #: transient compute buffers small.
 _BUILD_BATCH = 256
+
+#: The pattern an op-wise site's output holds wherever it is NaN, whatever payload the op left: the
+#: quiet NaN 0x7fc00000.
+CANONICAL_NAN = np.uint32(0x7FC00000).view(np.float32)
 
 #: (trial, sample) streams whose words a layer-wise replay draws at once: a
 #: window draws the words of max(1, _TRIAL_STREAMS // window rows) trials a
@@ -400,9 +417,7 @@ def run_injected_layerwise(model: Model, caches: dict, spec: FaultSpec, trials):
     if missing:
         raise ValidationError(f"spec targets layer {spec.target}, but the golden store lacks the outputs "
                               f"of layers {missing}")
-    trials = list(trials)
-    if trials != list(range(trials[0], trials[0] + len(trials)) if trials else []):
-        raise ValidationError("trials must be a contiguous ascending range")
+    trials = _trial_range(trials)
     if not trials:
         return []
     cache = caches[spec.target]
@@ -454,6 +469,14 @@ def run_injected_layerwise(model: Model, caches: dict, spec: FaultSpec, trials):
         del acts, window, chunk_words  # none outlives the next read
     records = kept.view(RECORD_DTYPE)
     return [(preds[i], records[i, : filled[i]], kept_u[i, : filled[i]]) for i in range(len(trials))]
+
+
+def _trial_range(trials) -> list:
+    """`trials` as a list, if it is a contiguous ascending range of trial ids, else ValidationError."""
+    trials = list(trials)
+    if trials != list(range(trials[0], trials[0] + len(trials)) if trials else []):
+        raise ValidationError("trials must be a contiguous ascending range")
+    return trials
 
 
 def _trial_capacity(samples: int, probability: float) -> int:
@@ -681,32 +704,53 @@ def boundary_layers(expanded: MicroOpModel, kinds) -> list:
     return sorted(layers) or [len(expanded.model.layers) - 1]
 
 
-def _sample_bytes(expanded: MicroOpModel, layer: int, site_layers) -> int:
-    """Bytes one sample needs while `layer` runs as micro-ops.
+def _sample_bytes(expanded: MicroOpModel, layer: int) -> int:
+    """Bytes one sample needs while `layer` runs as micro-ops: its layer input and every micro-op output.
 
-    That is its layer input and every micro-op output (each has the layer's
-    output shape), plus the corrupted copy of a site's output in a layer
-    that holds sites.
+    Each micro-op output has the layer's output shape.  A fault is written
+    in place into the fresh output of its op, so it needs no copy.
     """
     model = expanded.model
-    outputs = len(expanded.ops_by_layer[layer]) + (layer in site_layers)
+    outputs = len(expanded.ops_by_layer[layer])
     return 4 * (int(np.prod(model.input_shape_of(layer))) + outputs * int(np.prod(model.output_shapes[layer])))
 
 
-def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, caches: dict, spec: FaultSpec, trial: int):
-    """One trial: apply the fault model to every targeted op execution.
+def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, caches: dict, spec: FaultSpec, trials,
+                        probabilities):
+    """Op-wise trials `trials` (contiguous, ascending) at each p of `probabilities`: per trial, (preds, records) per p.
 
-    `caches` is the store `layer_caches` returns for (at least)
+    `spec` names the fault, the targeted op kinds and the seed; its own
+    probability is not read.  Each targeted op execution is injected under
+    the fault model, so several faults may land in one inference.  `caches`
+    is the store `layer_caches` returns for (at least)
     boundary_layers(expanded, spec.target); its golden predictions and
-    budget are the trial's.  Each site's words are drawn once for all
-    samples before any pass, which gives every sample's first hit layer.  A
-    sample no fault hits keeps its golden prediction, so p = 0 runs no pass.
-    Every other sample replays the micro-ops from the golden input of its
-    first hit layer, in chunks of at most budget // the bytes one sample
-    needs in the widest layer it runs.  This is bit-exact because every
-    kernel computes each sample from its own row, and the micro-op expansion
-    matches the layers it replaces.  Returns (preds, records), records
-    ordered by site and then sample.
+    budget are the call's.  Records come ordered by site and then sample,
+    and each (trial, p) is byte-identical to a whole-batch pass of that
+    trial at that p, whatever the budget, the range or the other
+    probabilities.
+
+    The range runs in blocks of as many trials as the budget holds the
+    words and keys of (`_trial_block`, at least one).  A block draws each site's words once, for
+    all its trials and samples; they do not depend on p.  A (trial, sample)
+    is hit at p in the sites whose uniform is below p, so its hit sites at
+    each p are nested, and (trial, sample, number of hit sites) names its
+    set whatever the site count.  Each distinct such key is replayed once,
+    whichever probabilities share it, from the golden input of its first
+    hit layer, with the smallest p that gives the key as the threshold of
+    every site in its row; a (trial, sample) no fault hits keeps its golden
+    prediction, so p = 0 runs no pass, and a range at p = 0 alone draws no
+    words.  The keys of each first hit layer are taken in sample order: the
+    store chunks that hold them are read once per block, and their rows go
+    through the micro-ops in batches of at most budget // the bytes one
+    sample needs in the widest layer it runs.  Each key's records are
+    written in place into one buffer for the block, and each (trial, p)
+    takes the prediction and the records of the key it holds for each
+    sample.  This is bit-exact because every kernel computes each row from
+    its own input alone, and the micro-op expansion matches the layers it
+    replaces.  Only a NaN's payload can depend on a row's place in its
+    batch, where two NaNs meet, so a site's output holds `CANONICAL_NAN`
+    wherever it is NaN before its fault is applied; predictions read no
+    payload.
     """
     if spec.mode != "op":
         raise ValidationError("run_injected_opwise requires an operation mode of 'op'")
@@ -720,49 +764,127 @@ def run_injected_opwise(expanded: MicroOpModel, dataset: Dataset, caches: dict, 
         raise ValidationError(f"the golden store lacks the outputs of layers {missing}")
     store = caches[boundaries[0]]
     sites = [op for op in expanded.all_ops() if op.kind in target]
-    site_layers = {op.layer_index for op in sites}
-    need = [_sample_bytes(expanded, layer, site_layers) for layer in range(len(model.layers))]
-    widest = max(need[sites[0].layer_index:])
+    widest = max(_sample_bytes(expanded, layer) for layer in range(sites[0].layer_index, len(model.layers)))
     if store.budget < widest:
         raise ResourceError(f"memory budget {store.budget} bytes is below one sample's micro-op working set "
                             f"({widest} bytes)")
+    trials = _trial_range(trials)
+    probabilities = np.array([check_probability(p) for p in probabilities], dtype=np.float64)
+    if not probabilities.any():
+        empty = np.empty(0, dtype=RECORD_DTYPE)
+        return [[(store.golden.copy(), empty) for _ in probabilities] for _ in trials]
+    levels, level_of = np.unique(probabilities, return_inverse=True)  # the distinct probabilities, ascending
+    block = _trial_block(store.budget, len(sites), len(dataset), levels.size)
+    runs = []
+    for lo in range(0, len(trials), block):
+        runs += _opwise_block(expanded, dataset, caches, store, spec, sites, trials[lo : lo + block], levels,
+                              level_of)
+    return runs
 
+
+def _trial_block(budget: int, sites: int, samples: int, levels: int) -> int:
+    """Trials an op-wise block takes: as many as `budget` holds the working set of, and at least one.
+
+    Per (trial, sample) a block holds 32 bytes of words per site; while
+    one site's words are drawn, 192 bytes of `philox_block`'s temporaries
+    (24 uint64 per stream); and per distinct probability (level) 160 bytes
+    of hit counts, keys and their columns, and the map from each (trial,
+    sample, level) to its key.  Records are not charged: they are the
+    call's result, and a block's buffer holds no more of them than the
+    block returns.
+    """
+    return max(1, budget // (samples * (32 * sites + 192 + 160 * levels)))
+
+
+def _opwise_block(expanded: MicroOpModel, dataset: Dataset, caches: dict, store: ActivationCache, spec: FaultSpec,
+                  sites, trials, levels: np.ndarray, level_of: np.ndarray):
+    """run_injected_opwise over one block of trials at the distinct probabilities `levels`, ascending.
+
+    `store` gives the golden predictions and the budget, and level_of[i]
+    is the level of the call's i-th probability.
+    """
+    model = expanded.model
     sample_ids = np.arange(len(dataset), dtype=np.uint64)
-    words = {op.op_id: draw_words(spec.seed, trial, sample_ids, op.op_id) for op in sites}
-    first = np.full(len(dataset), len(model.layers))
-    for op in reversed(sites):  # sites run in layer order, so the earliest hit is written last
-        first[uniforms(words[op.op_id][:, 0]) < spec.probability] = op.layer_index
+    words = {op.op_id: draw_words(spec.seed, trials, sample_ids, op.op_id) for op in sites}  # (trials, samples, 4)
 
-    preds = store.golden.copy()
-    parts = []
-    batch = None  # the samples of the chunk being replayed, ascending
+    # hits[t, n, j]: how many sites hit sample n of trial t at levels[j], which grows with j; a key starts
+    # wherever it grows
+    hits = np.zeros((len(trials), len(dataset), levels.size), dtype=np.int32)
+    for op in sites:
+        hits += uniforms(words[op.op_id][..., 0])[..., None] < levels
+    # key k starts at flat index key_at[k] of hits, and key_hits[k] sites hit its (trial, sample)
+    key_at = np.flatnonzero(np.diff(hits, axis=-1, prepend=0) > 0)
+    key_hits = hits.reshape(-1)[key_at]
+    key_t, key_n = np.divmod(key_at // levels.size, len(dataset))
+    key_p = levels[key_at % levels.size]
+    key_layer = np.full(key_at.size, len(model.layers), dtype=np.int32)
+    for op in reversed(sites):  # sites run in layer order, so the earliest hit is written last
+        key_layer[uniforms(words[op.op_id][key_t, key_n, 0]) < key_p] = op.layer_index
+    del key_t, key_p
+
+    # each key's records go in place, in site order, into its slot of one buffer
+    key_pred = np.empty(key_at.size, dtype=np.int64)
+    records = _mapped((int(key_hits.sum()),), RECORD_DTYPE)
+    filled = np.cumsum(key_hits) - key_hits
+    # the keys being replayed, and their trial indices, samples, trial ids and probabilities
+    batch = batch_t = batch_n = batch_trial = batch_p = None
 
     def hook(op, out):
-        if op.kind not in target:
+        if op.kind not in spec.target:
             return out
-        rows, records, _ = inject_batch(out, spec, words[op.op_id][batch], trial, sample_ids[batch], op.op_id)
-        if records.size:
-            parts.append(records)
+        # two NaNs that meet keep either payload, by their place in the batch, so a site's NaNs all read as one
+        np.copyto(out, CANONICAL_NAN, where=np.isnan(out))
+        rows, found, _ = inject_batch(out, spec, words[op.op_id][batch_t, batch_n], batch_trial, batch_n, op.op_id,
+                                      batch_p)
+        if found.size:
+            owners = batch[rows]  # one row per key, so one record per key
+            records[filled[owners]] = found
+            filled[owners] += 1
             # out is fresh and unread so far; an index per axis writes it in place whatever its strides
-            out.view(np.uint32)[(rows, *np.unravel_index(records["element"], out.shape[1:]))] = records["corrupted"]
+            out.view(np.uint32)[(rows, *np.unravel_index(found["element"], out.shape[1:]))] = found["corrupted"]
         return out
 
-    for layer in sorted(site_layers):
-        group = np.nonzero(first == layer)[0]
+    need = [_sample_bytes(expanded, layer) for layer in range(len(model.layers))]
+    key_sample = key_at // levels.size % len(dataset)
+    for layer in sorted({op.layer_index for op in sites}):
+        group = np.flatnonzero(key_layer == layer)
         if not group.size:
             continue
-        rows_per_chunk = store.budget // max(need[layer:])
+        group = group[np.argsort(key_sample[group], kind="stable")]
+        rows_per_batch = store.budget // max(need[layer:])
         if layer == 0:
             source = [(0, dataset.samples)]
         else:
             cache = caches[layer - 1]
-            source = cache.iter_chunks(np.unique(group // cache.samples_per_chunk))
+            source = cache.iter_chunks(np.unique(key_sample[group] // cache.samples_per_chunk))
         for start, acts in source:
-            lo, hi = np.searchsorted(group, [start, start + acts.shape[0]])
-            for i in range(lo, hi, rows_per_chunk):
-                batch = group[i : min(i + rows_per_chunk, hi)]
-                scores = run_microops_batch(expanded, acts[batch - start], hook=hook, start=layer)
-                preds[batch] = predict_batch(scores)
+            lo, hi = np.searchsorted(key_sample[group], [start, start + acts.shape[0]])
+            for i in range(lo, hi, rows_per_batch):
+                batch = group[i : min(i + rows_per_batch, hi)]
+                stream, level = np.divmod(key_at[batch], levels.size)
+                batch_t, batch_n = np.divmod(stream, len(dataset))
+                batch_trial, batch_p = np.uint64(trials[0]) + batch_t.astype(np.uint64), levels[level]
+                scores = run_microops_batch(expanded, acts[batch_n - start], hook=hook, start=layer)
+                key_pred[batch] = predict_batch(scores)
             del acts  # before the next store chunk is read
-    records = concat_records(parts)
-    return preds, records[np.lexsort((records["sample"], records["site"]))]
+    del words, filled, key_sample, key_layer
+
+    # at each level, every trial takes the prediction and the records of the key it holds for each sample hit:
+    # where hits[t, n, j] > 0, key_of[t, n, j] is the last key started at or before (t, n, j)
+    key_of = np.zeros(hits.size, dtype=np.intp)
+    key_of[key_at] = 1
+    key_of = (np.cumsum(key_of, out=key_of) - 1).reshape(hits.shape)
+    order = np.lexsort((records["sample"], records["site"], records["trial"]))
+    owner = np.repeat(np.arange(key_pred.size), key_hits)[order]
+    ends_at = np.uint64(trials[0]) + np.arange(len(trials), dtype=np.uint64)
+    by_level = []
+    for j in range(levels.size):
+        held, hit = key_of[..., j], hits[..., j] > 0
+        preds = np.tile(store.golden, (len(trials), 1))
+        preds[hit] = key_pred[held[hit]]
+        holds = np.zeros(key_pred.size, dtype=bool)
+        holds[held[hit]] = True
+        mine = records[order if holds.all() else order[holds[owner]]]
+        ends = np.searchsorted(mine["trial"], ends_at, side="right")
+        by_level.append([(preds[t], mine[lo:hi]) for t, (lo, hi) in enumerate(zip([0, *ends[:-1]], ends))])
+    return [[by_level[j][t] for j in level_of] for t in range(len(trials))]

@@ -19,7 +19,8 @@ All three words are consumed on every call, so per-call draw counts are
 constant and later records never depend on earlier Bernoulli outcomes.
 
 Campaigns inject through `inject_batch`, which applies the words of many
-samples at once.  It copies no row: it returns the row index and the
+samples at once, of one trial or several, below one probability or one per
+row.  It copies no row: it returns the row index and the
 record of each hit, and a caller writes `records["corrupted"]` where it
 needs the corrupted tensor (in place into a fresh op output, or into
 copies of only the distinct corrupted rows of a layer-wise window).  The
@@ -370,22 +371,27 @@ def uniforms(word0):
     return (word0 >> 11) * 2.0**-53
 
 
-def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial, sample_ids: np.ndarray, site: int):
+def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial, sample_ids: np.ndarray, site: int,
+                 probability=None):
     """Vectorized maybe_inject over a batch of per-sample tensors, for one trial or several.
 
     `acts` has shape (samples, *tensor shape) and is only read; `words` is
     draw_words(spec.seed, trial, sample_ids, site), or a slice of it that
     keeps one row of words per row of `acts`: words[..., i, :] is the stream
-    of the sample in row i.  For several trials `trial` is their ids and the
-    words' leading axis runs over them, so every trial injects into the same
-    stored rows.  Bit-for-bit equivalent to calling maybe_inject with
-    derive_stream(spec.seed, trial, sample, site) per (trial, sample).
+    of the sample in row i.  `trial` and `probability` (by default
+    spec.probability) are each one value for every stream, or an array laid
+    along the leading axes of words: for (trials, rows, 4) words one trial
+    id per leading row, so every trial injects into the same stored rows;
+    for (rows, 4) words one value per row, so each row may be a stream of
+    its own trial, hit below its own threshold.  Bit-for-bit equivalent to
+    calling maybe_inject with derive_stream(spec.seed, trial, sample, site)
+    per (trial, sample), at the stream's probability.
     Returns (rows, records, u), one entry per (trial, sample) the fault hit,
     trial-major and in row order within a trial: rows[i] is the index in
     `acts` of the row that records[i] corrupts, and u[i] is the Bernoulli
     uniform that decided the hit.  The corrupted tensor is acts[rows[i]]
     with records[i]["corrupted"] written at its flat element; no row is
-    copied here.  A sample is hit iff its u is below spec.probability, and
+    copied here.  A sample is hit iff its u is below its probability, and
     its element and material do not depend on the probability: at any lower
     probability the faults are the records whose u is below it.
     """
@@ -393,8 +399,10 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial, sa
     n_elements = int(np.prod(acts.shape[1:]))
     words = words.reshape(-1, 4)
     u = uniforms(words[:, 0])
-    hit = np.nonzero(u < spec.probability)[0]
-    which, row = np.divmod(hit, n_rows)
+    # a value of `trial` or `probability` covers an equal run of consecutive streams
+    below = np.asarray(spec.probability if probability is None else probability, dtype=np.float64).reshape(-1, 1)
+    hit = np.flatnonzero(u.reshape(below.size, -1) < below)
+    row = hit % n_rows
     elements = words[hit, 1] % np.uint64(n_elements)
     material = words[hit, 2]
 
@@ -403,7 +411,8 @@ def inject_batch(acts: np.ndarray, spec: FaultSpec, words: np.ndarray, trial, sa
     corrupted, bits = fault_patterns(spec.fault, spec.bit, original, material)
 
     records = np.empty(hit.size, dtype=RECORD_DTYPE)
-    records["trial"] = np.asarray(trial, dtype=np.uint64).reshape(-1)[which]
+    trials = np.asarray(trial, dtype=np.uint64).reshape(-1)
+    records["trial"] = trials[hit // max(1, u.size // trials.size)]
     records["sample"] = np.asarray(sample_ids, dtype=np.uint64)[row]
     records["site"] = site
     records["element"] = elements

@@ -1,9 +1,11 @@
 """Whole-batch operation-wise trial, the oracle of executor.run_injected_opwise.
 
 Every sample goes through every micro-op of the expanded model as one
-batch, and each targeted op's output is corrupted as the pass produces it.
-This is how op-wise trials ran before they replayed only hit samples from a
-golden layer boundary; it needs no store and has no memory bound.
+batch, and each targeted op's output is corrupted as the pass produces it,
+after every NaN in it is set to the quiet NaN 0x7fc00000.  This is how
+op-wise trials ran before they replayed only hit samples from a golden
+layer boundary; it needs no store and has no memory bound, and it runs one
+trial at one probability.
 """
 
 import numpy as np
@@ -24,6 +26,7 @@ def run_opwise_whole_batch(expanded, dataset, spec, trial):
     def hook(op, out):
         if op.kind not in target:
             return out
+        out[np.isnan(out)] = np.frombuffer(b"\x00\x00\xc0\x7f", dtype="<f4")[0]  # every NaN reads as 0x7fc00000
         words = draw_words(spec.seed, trial, sample_ids, op.op_id)
         rows, records, _ = inject_batch(out, spec, words, trial, sample_ids, op.op_id)
         if records.size:

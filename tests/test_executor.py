@@ -252,7 +252,7 @@ class TestOpwiseInjection:
         golden = golden_run(model, dataset)
         spec = FaultSpec(mode="op", target=("Add",), fault="bit_flip_random", probability=0.0, seed=31)
         monkeypatch.setattr(executor_mod, "run_microops_batch", None)  # p = 0 runs no pass
-        preds, records = run_injected_opwise(expanded, dataset, caches, spec, trial=0)
+        [[(preds, records)]] = run_injected_opwise(expanded, dataset, caches, spec, [0], [0.0])
         assert np.array_equal(preds, golden)
         assert records.size == 0
 
@@ -261,7 +261,7 @@ class TestOpwiseInjection:
         expanded, caches = prelu_store
         adds = expanded.count_ops({"Add"})
         spec = FaultSpec(mode="op", target=("Add",), fault="bit_flip_random", probability=1.0, seed=32)
-        _, records = run_injected_opwise(expanded, dataset, caches, spec, trial=1)
+        [[(_, records)]] = run_injected_opwise(expanded, dataset, caches, spec, [1], [1.0])
         assert records.size == adds * len(dataset)
 
     def test_absent_target_is_an_error(self, toy, prelu_store):
@@ -269,7 +269,7 @@ class TestOpwiseInjection:
         expanded = expand_prelu(model)
         spec = FaultSpec(mode="op", target=("Add",), fault="zero", probability=0.5, seed=0)
         with pytest.raises(ValidationError, match="Add"):
-            run_injected_opwise(expanded, dataset, prelu_store[1], spec, trial=0)
+            run_injected_opwise(expanded, dataset, prelu_store[1], spec, [0], [0.5])
 
     def test_multi_kind_target(self, toy_prelu, prelu_store):
         _, dataset = toy_prelu
@@ -277,7 +277,7 @@ class TestOpwiseInjection:
         kinds = {"Add", "Sub", "Mul"}
         count = expanded.count_ops(kinds)
         spec = FaultSpec(mode="op", target=tuple(sorted(kinds)), fault="bit_flip_random", probability=1.0, seed=33)
-        _, records = run_injected_opwise(expanded, dataset, caches, spec, trial=0)
+        [[(_, records)]] = run_injected_opwise(expanded, dataset, caches, spec, [0], [1.0])
         assert records.size == count * len(dataset)
         assert len(set(records["site"].tolist())) == count
 
@@ -286,7 +286,7 @@ class TestOpwiseInjection:
         expanded, caches = prelu_store
         spec = FaultSpec(mode="op", target=("Add",), fault="zero", probability=0.5, seed=0)
         with pytest.raises(ValidationError, match="golden store"):
-            run_injected_opwise(expanded, dataset, {0: caches[0]}, spec, trial=0)
+            run_injected_opwise(expanded, dataset, {0: caches[0]}, spec, [0], [0.5])
 
     def test_budget_below_one_sample_is_a_resource_error(self, toy_prelu, tmp_path):
         model, dataset = toy_prelu
@@ -294,7 +294,7 @@ class TestOpwiseInjection:
         caches = layer_caches(model, dataset, boundary_layers(expanded, {"Add"}), 1600, tmp_path)
         spec = FaultSpec(mode="op", target=("Add",), fault="zero", probability=0.5, seed=0)
         with pytest.raises(ResourceError, match="micro-op working set"):
-            run_injected_opwise(expanded, dataset, caches, spec, trial=0)
+            run_injected_opwise(expanded, dataset, caches, spec, [0], [0.5])
 
 
 class TestPassThroughEquivalence:

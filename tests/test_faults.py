@@ -447,3 +447,24 @@ class TestAgainstReference:
         assert u.tobytes() == np.concatenate([x for _, _, x in per_trial]).tobytes()
         with pytest.raises(ValidationError, match="trial"):
             draw_words(seed, [*trials, -1], ids, site)
+
+    @given(shape=st.lists(st.integers(1, 6), min_size=1, max_size=3),
+           streams=st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 2**20),
+                                      st.sampled_from([0.0, 0.3, 0.6, 1.0])), min_size=1, max_size=8),
+           fault=st.sampled_from(FAULT_KINDS), bit=st.integers(0, 31), seed=U64, site=U64,
+           values=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_a_trial_and_probability_per_row_equal_one_call_per_row(self, shape, streams, fault, bit, seed, site,
+                                                                     values):
+        """(rows, 4) words with a trial and a probability for each row equal one call per row at its probability."""
+        bit = bit if fault == "bit_flip_specific" else None
+        spec = FaultSpec(mode="op", target=("Add",), fault=fault, probability=1.0, seed=seed, bit=bit)
+        acts = np.random.default_rng(values).integers(0, 2**32, size=(len(streams), *shape), dtype=np.uint32).view(F)
+        trials, samples, probabilities = (np.array(column) for column in zip(*streams))
+        words = np.stack([draw_words(seed, t, [s], site)[0] for t, s, _ in streams])
+        rows, records, u = inject_batch(acts, spec, words, trials, samples, site, probabilities)
+        want = [inject_batch(acts[i : i + 1], dataclasses.replace(spec, probability=p), words[i : i + 1], t, [s], site)
+                for i, (t, s, p) in enumerate(streams)]
+        assert rows.tolist() == [i for i, (r, _, _) in enumerate(want) if r.size]
+        assert records.tobytes() == np.concatenate([r for _, r, _ in want]).tobytes()
+        assert u.tobytes() == np.concatenate([x for _, _, x in want]).tobytes()
